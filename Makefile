@@ -103,4 +103,5 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzReadTraffic -fuzztime $(FUZZTIME) ./internal/dataio
 	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzClassifyBody -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzClassifyDecode -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzForecastBody -fuzztime $(FUZZTIME) ./internal/serve

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -140,9 +139,12 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a forecast request")
 		return
 	}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var req ForecastRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeJSON(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -243,9 +245,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a plan request")
 		return
 	}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var req PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeJSON(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -110,3 +110,39 @@ func FuzzForecastBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzClassifyDecode is the scanner's differential check: whenever the
+// single-pass classify scanner accepts a body, encoding/json must accept
+// it too, decode deep-equal values, and produce bit-identical traffic.
+func FuzzClassifyDecode(f *testing.F) {
+	for _, num := range []string{
+		"-0", "0", "5e-324", "1.7976931348623157e308", "1e400", "-1e400",
+		"9007199254740991", "9007199254740992", "9007199254740993", "-9007199254740993",
+		"1e22", "1e23", "1e-22", "1e-23", "12345678901234567890", "0.12345678901234567890",
+		"00", "01.5", "0.5", "2.5E+3", "7e-1", "1e", "-", ".5", "1.",
+	} {
+		f.Add([]byte(`{"antennas":[{"id":7,"revision":3,"traffic":[` + num + `,1]}]}`))
+	}
+	f.Add([]byte(`{"antennas":[{"ID":1,"traffic":[1,2,3]}]}`))
+	f.Add([]byte(`{"antennas":[{"id":1,"Traffic":[1]}]}`))
+	f.Add([]byte(`{"antennas":[{"id":1,"unknown":true,"traffic":[1]}]}`))
+	f.Add([]byte(`{"antennas":[{"id":1,"id":2,"traffic":[1]}]}`))
+	f.Add([]byte(`{"antennas":[{"traffic":[1],"traffic":[2,3]}]}`))
+	f.Add([]byte(`{"antennas":[{"id":1,"traffic":[1,2]}]}`))
+	f.Add([]byte(`{"antennas":[{"id":4294967296,"revision":18446744073709551616}]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"antennas":null}`))
+	f.Add([]byte(`{"antennas":[null,{"traffic":null}]}`))
+	f.Add([]byte(`{"antennas":[]}`))
+	f.Add([]byte(`{"antennas":[]}` + " \n"))
+	f.Add([]byte(`{"antennas":[]}x`))
+	f.Add([]byte(`{"antennas":[{"id":1,"traffic":[1,2]}]}{"antennas":[]}`))
+	f.Add([]byte(" {\t\"antennas\" : [ {\r\n\"id\" : 2 , \"traffic\" : [ 1 , 2 ] } ] } "))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, ok := scanClassify(data)
+		if ok {
+			scanMatchesJSON(t, data, got)
+		}
+	})
+}

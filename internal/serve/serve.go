@@ -450,9 +450,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a classify request")
 		return
 	}
-	var req ClassifyRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	req, err := decodeClassify(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

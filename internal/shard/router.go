@@ -47,8 +47,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// RetryAfter is the backpressure hint on 429 responses (default 1s).
 	RetryAfter time.Duration
-	// MaxBodyBytes bounds request bodies (default 64 MiB — the sharded
-	// path is sized for bulk ingest).
+	// MaxBodyBytes bounds request bodies at the router and at its
+	// replicas alike (default 64 MiB — the sharded path is sized for bulk
+	// ingest).
 	MaxBodyBytes int64
 	// MaxIngestRecords caps records per ingest batch (default 1<<20).
 	MaxIngestRecords int
@@ -168,6 +169,7 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 			Pool:           cfg.Pool,
 			Faults:         cfg.Faults,
 			RequestTimeout: cfg.RequestTimeout,
+			MaxBodyBytes:   cfg.MaxBodyBytes,
 		})
 		if err != nil {
 			sinks.Close()
@@ -190,9 +192,9 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 	}
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("/v1/ingest", rt.withDeadline(rt.handleIngest))
-	rt.mux.HandleFunc("/v1/classify", rt.withDeadline(rt.handleClassify))
-	rt.mux.HandleFunc("/v1/forecast", rt.withDeadline(rt.handleForecast))
-	rt.mux.HandleFunc("/v1/plan", rt.withDeadline(rt.handlePlan))
+	for _, route := range proxyRoutes {
+		rt.mux.HandleFunc(route.path, rt.withDeadline(rt.proxyPost(route.path, route.methodErr)))
+	}
 	rt.mux.HandleFunc("/v1/model", rt.withDeadline(rt.handleModel))
 	rt.mux.HandleFunc("/v1/stats", rt.handleStats)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
@@ -440,52 +442,39 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch), "shards": len(subs)})
 }
 
-// handleClassify proxies the request body to a live replica, rotating the
-// starting replica per request and failing over on transport errors. The
-// replica's response — status, revision echo, verdicts — passes through
-// verbatim, so parity audits see exactly what the replica served.
-func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a classify request")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
-		return
-	}
-	rt.proxy(w, r, "/v1/classify", body)
+// proxyRoutes are the POST endpoints the router relays to a replica,
+// each with the text a wrong method gets. Every replica serves the same
+// snapshot pointer, so whichever one answers gives the same revision and
+// the same bit-exact verdicts, forecasts and plans.
+var proxyRoutes = []struct{ path, methodErr string }{
+	{"/v1/classify", "POST a classify request"},
+	{"/v1/forecast", "POST a forecast request"},
+	{"/v1/plan", "POST a plan request"},
 }
 
-// handleForecast proxies forecast queries to a live replica with the same
-// failover semantics as classify; because every replica serves the same
-// snapshot pointer, any of them answers with the same revision and the
-// same bit-exact forecast values.
-func (rt *Router) handleForecast(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a forecast request")
-		return
+// proxyPost reads a POST body whole (sized from its Content-Length) and
+// proxies it to a live replica, rotating the starting replica per request
+// and failing over on transport errors. The replica's response — status,
+// revision echo, payload — passes through verbatim, so parity audits see
+// exactly what the replica served.
+func (rt *Router) proxyPost(path, methodErr string) func(http.ResponseWriter, *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "%s", methodErr)
+			return
+		}
+		body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, "request body: %v", err)
+			return
+		}
+		rt.proxy(w, r, path, body)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
-		return
-	}
-	rt.proxy(w, r, "/v1/forecast", body)
-}
-
-// handlePlan proxies capacity-planning scenarios to a live replica.
-func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a plan request")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
-		return
-	}
-	rt.proxy(w, r, "/v1/plan", body)
 }
 
 // handleModel proxies snapshot metadata from a live replica.
