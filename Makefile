@@ -1,25 +1,17 @@
 GO ?= go
 
-.PHONY: build lint lint-fast test race bench bench-gate bench-baseline artifacts serve-smoke refresh-smoke forecast-smoke serve-bench chaos-smoke shard-smoke shard-bench fuzz-short
+.PHONY: build lint test race bench bench-gate bench-baseline artifacts serve-smoke refresh-smoke forecast-smoke serve-bench chaos-smoke shard-smoke shard-bench fuzz-short
 
 build:
 	$(GO) build ./...
 
 # Domain lint: icnvet machine-checks the pipeline's determinism,
 # concurrency and error-handling contracts, including the cross-package
-# dataflow analyzers (see DESIGN.md §13). Always a full, cache-free run —
-# this is what CI gates on.
+# dataflow analyzers (see DESIGN.md §13). This is what CI gates on.
 lint: build
 	$(GO) run ./cmd/icnvet
 
-# Incremental domain lint: packages whose content hash is unchanged replay
-# findings and facts from .icnvet-cache instead of being re-type-checked,
-# so the edit-test loop pays for the packages it touched (plus their
-# importers), not the whole module.
-lint-fast: build
-	$(GO) run ./cmd/icnvet -incremental
-
-test: lint-fast
+test: lint
 	$(GO) test ./...
 
 # Full suite under the race detector — the shared worker pool and the

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -325,7 +326,10 @@ func TestProximityContrast(t *testing.T) {
 
 func TestClusterHourlySeries(t *testing.T) {
 	r := testResult(t)
-	series := r.ClusterHourlySeries(0, 10)
+	series, err := r.ClusterHourlySeriesContext(context.Background(), 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(series) != r.Dataset.Cal.Hours() {
 		t.Fatalf("series length %d", len(series))
 	}

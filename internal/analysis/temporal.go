@@ -250,19 +250,6 @@ func (r *Result) ClusterHourlySeriesContext(ctx context.Context, clusterID, maxA
 	return medianWindow(perAntenna, 0, hours, r.Config.TemporalExactSort), nil
 }
 
-// ClusterHourlySeries is ClusterHourlySeriesContext without cancellation.
-//
-// Deprecated: use ClusterHourlySeriesContext so a cancelled caller does
-// not keep burning the worker pool.
-func (r *Result) ClusterHourlySeries(clusterID, maxAntennas int) []float64 {
-	out, err := r.ClusterHourlySeriesContext(context.Background(), clusterID, maxAntennas)
-	if err != nil {
-		//lint:allow nopanic background context cannot be cancelled
-		panic(err)
-	}
-	return out
-}
-
 // RefitForecasts retrains the busy-hour forecast set from scratch on this
 // result's current traffic and labels — the same deterministic fit the
 // forecast stage runs, so the returned set's Digest matches

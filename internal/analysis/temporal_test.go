@@ -166,7 +166,10 @@ func TestClusterHourlySeriesGoldenParity(t *testing.T) {
 			perHour[h] = append(perHour[h], series[h])
 		}
 	}
-	got := r.ClusterHourlySeries(2, 10)
+	got, err := r.ClusterHourlySeriesContext(context.Background(), 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for h := 0; h < hours; h++ {
 		if want := stats.Median(perHour[h]); got[h] != want {
 			t.Fatalf("hour %d: %v != %v (not bit-identical)", h, got[h], want)

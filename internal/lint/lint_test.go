@@ -344,11 +344,11 @@ func TestModuleLoadShape(t *testing.T) {
 	}
 }
 
-// The incremental cache must replay findings and facts bit-identically,
-// and invalidate exactly the packages whose content hash changed (plus
-// their importers). A tiny throwaway module keeps the test fast: its
-// packages import nothing, so no stdlib type-checking happens.
-func TestIncrementalCache(t *testing.T) {
+// RunModule is icnvet's entry point: scan, type-check, parallel analysis
+// waves, finish passes and stale-suppression scan over a whole module. A
+// tiny throwaway module keeps the test fast: its packages import nothing
+// outside the module, so no stdlib type-checking happens.
+func TestRunModule(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, content string) {
 		t.Helper()
@@ -373,56 +373,44 @@ import "tiny/internal/a"
 
 func Use() {
 	a.Spawn(func() {})
-	//lint:allow rngdet deliberately stale suppression for the cache test
+	//lint:allow rngdet deliberately stale suppression
 	_ = 1
 }
 `)
-	opts := Options{Dir: dir, Cache: true, CacheDir: filepath.Join(dir, "cache")}
 
-	run := func(label string, wantCached int) *Result {
+	run := func() *Result {
 		t.Helper()
-		res, err := RunModule(opts)
+		res, err := RunModule(Options{Dir: dir})
 		if err != nil {
-			t.Fatalf("%s: RunModule: %v", label, err)
-		}
-		if res.Timing.Cached != wantCached {
-			t.Errorf("%s: %d/%d packages cached, want %d", label, res.Timing.Cached, res.Timing.Packages, wantCached)
-		}
-		var analyzers []string
-		for _, f := range res.Findings {
-			analyzers = append(analyzers, f.Analyzer)
-		}
-		sort.Strings(analyzers)
-		// One raw go statement, one stale suppression.
-		if fmt.Sprint(analyzers) != fmt.Sprint([]string{"lint", "poolgo"}) {
-			t.Errorf("%s: want [lint poolgo] findings, got %v:\n%v", label, analyzers, res.Findings)
+			t.Fatalf("RunModule: %v", err)
 		}
 		return res
 	}
+	res := run()
 
-	cold := run("cold", 0)
-	warm := run("warm", 2)
-	if !reflect.DeepEqual(cold.Findings, warm.Findings) {
-		t.Errorf("cached replay diverged:\ncold: %v\nwarm: %v", cold.Findings, warm.Findings)
+	// One raw go statement, one stale suppression.
+	var analyzers []string
+	for _, f := range res.Findings {
+		analyzers = append(analyzers, f.Analyzer)
 	}
-	if !reflect.DeepEqual(cold.Allows, warm.Allows) {
-		t.Errorf("cached allow records diverged:\ncold: %v\nwarm: %v", cold.Allows, warm.Allows)
+	sort.Strings(analyzers)
+	if fmt.Sprint(analyzers) != fmt.Sprint([]string{"lint", "poolgo"}) {
+		t.Errorf("want [lint poolgo] findings, got %v:\n%v", analyzers, res.Findings)
+	}
+	if len(res.Allows) != 1 || res.Allows[0].Analyzer != "rngdet" || res.Allows[0].Used {
+		t.Errorf("want one unused rngdet suppression, got %+v", res.Allows)
+	}
+	if res.Timing.Packages != 2 {
+		t.Errorf("Timing.Packages = %d, want 2", res.Timing.Packages)
 	}
 
-	// Touching b invalidates only b: a replays from cache.
-	write("internal/b/b.go", `package b
-
-import "tiny/internal/a"
-
-func Use() {
-	a.Spawn(func() {})
-	//lint:allow rngdet deliberately stale suppression for the cache test
-	_ = 2
-}
-`)
-	touched := run("touched", 1)
-	if !reflect.DeepEqual(cold.Findings, touched.Findings) {
-		t.Errorf("partial rebuild diverged:\ncold: %v\ntouched: %v", cold.Findings, touched.Findings)
+	// The parallel waves must not make the verdict depend on scheduling.
+	again := run()
+	if !reflect.DeepEqual(res.Findings, again.Findings) {
+		t.Errorf("findings differ between runs:\nfirst:  %v\nsecond: %v", res.Findings, again.Findings)
+	}
+	if !reflect.DeepEqual(res.Allows, again.Allows) {
+		t.Errorf("allow records differ between runs:\nfirst:  %v\nsecond: %v", res.Allows, again.Allows)
 	}
 }
 
