@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -25,43 +22,6 @@ type Histogram struct {
 // DefaultLatencyBuckets are the millisecond upper bounds used by the
 // serving path: sub-millisecond cache hits up to multi-second stragglers.
 var DefaultLatencyBuckets = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-// histograms is the process-wide histogram registry, mirroring the counter
-// registry: one named histogram per metric, created on first use.
-var (
-	histMu sync.Mutex
-	hists  = map[string]*Histogram{}
-)
-
-// GetHistogram returns the named histogram, creating it with the given
-// bucket bounds on first use (nil bounds select DefaultLatencyBuckets).
-// Later calls ignore bounds, so concurrent callers always share one
-// instance.
-func GetHistogram(name string, bounds []float64) *Histogram {
-	histMu.Lock()
-	defer histMu.Unlock()
-	if h, ok := hists[name]; ok {
-		return h
-	}
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	h := &Histogram{name: name, bounds: b, counts: make([]int64, len(b)+1)}
-	hists[name] = h
-	return h
-}
-
-// ObserveMS records one observation (in milliseconds) into the named
-// histogram with the default latency buckets.
-func ObserveMS(name string, ms float64) {
-	GetHistogram(name, nil).Observe(ms)
-}
-
-// Name returns the histogram's registry name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -135,66 +95,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Histograms snapshots every registered histogram, sorted by name.
-func Histograms() []HistogramSnapshot {
-	histMu.Lock()
-	all := make([]*Histogram, 0, len(hists))
-	for _, h := range hists {
-		all = append(all, h)
-	}
-	histMu.Unlock()
-	out := make([]HistogramSnapshot, 0, len(all))
-	for _, h := range all {
-		out = append(out, h.Snapshot())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// MetricsText renders every counter and histogram in the Prometheus text
-// exposition format. Metric names are derived from registry names by
-// replacing non-alphanumeric runes with underscores and prefixing "icn_".
-func MetricsText() string {
-	var b strings.Builder
-	snap := Counters()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		m := metricName(n)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", m, m, snap[n])
-	}
-	for _, h := range Histograms() {
-		m := metricName(h.Name)
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", m)
-		for i, bound := range h.Bounds {
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m, formatBound(bound), h.Cumulative[i])
-		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m, h.Count)
-		fmt.Fprintf(&b, "%s_sum %g\n", m, h.Sum)
-		fmt.Fprintf(&b, "%s_count %d\n", m, h.Count)
-	}
-	return b.String()
-}
-
-func metricName(name string) string {
-	var b strings.Builder
-	b.WriteString("icn_")
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-func formatBound(v float64) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
 }

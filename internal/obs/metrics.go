@@ -7,18 +7,18 @@ package obs
 // here exactly once, with the matching kind, and every non-dynamic entry
 // must have at least one call site — so /metrics cannot silently grow
 // unregistered series or carry dead registrations. At runtime the catalog
-// seeds the registries (see init below), so every registered metric is
-// present on /metrics from the first scrape, at zero, instead of appearing
-// only after its first increment.
+// seeds each Registry with the entries its Scope owns (see NewRegistry),
+// so every registered metric is present on /metrics from the first
+// scrape, at zero, instead of appearing only after its first increment.
 
 // MetricKind distinguishes the two registry shapes.
 type MetricKind string
 
 const (
-	// KindCounter is a monotonically increasing named counter (obs.Add).
+	// KindCounter is a monotonically increasing named counter (Add).
 	KindCounter MetricKind = "counter"
-	// KindHistogram is a fixed-bucket latency histogram (obs.ObserveMS /
-	// obs.GetHistogram).
+	// KindHistogram is a fixed-bucket latency histogram (ObserveMS /
+	// GetHistogram).
 	KindHistogram MetricKind = "histogram"
 )
 
@@ -38,8 +38,8 @@ type MetricDef struct {
 	// carry a //lint:allow metricreg annotation instead.
 	Dynamic bool
 	// Buckets overrides a histogram's bucket upper bounds (default:
-	// DefaultLatencyBuckets). Because the registry is first-caller-wins and
-	// init seeds every cataloged metric, non-latency histograms (queue
+	// DefaultLatencyBuckets). Because a registry is first-caller-wins and
+	// NewRegistry seeds every cataloged metric, non-latency histograms (queue
 	// depths, ring occupancy shares) must declare their bounds here rather
 	// than at a call site.
 	Buckets []float64
@@ -124,17 +124,4 @@ var Catalog = []MetricDef{
 	{Name: "fault.serve.ingest.errs", Kind: KindCounter, Help: "injected ingest errors", Dynamic: true},
 	{Name: "fault.shard.fold.delays", Kind: KindCounter, Help: "injected shard-fold delays", Dynamic: true},
 	{Name: "fault.shard.fold.errs", Kind: KindCounter, Help: "injected shard-fold errors", Dynamic: true},
-}
-
-// init seeds the registries from the catalog so every registered metric is
-// emitted on /metrics (at zero) before its first observation.
-func init() {
-	for _, d := range Catalog {
-		switch d.Kind {
-		case KindCounter:
-			Add(d.Name, 0)
-		case KindHistogram:
-			GetHistogram(d.Name, d.Buckets)
-		}
-	}
 }

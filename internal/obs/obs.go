@@ -1,17 +1,16 @@
 // Package obs provides the lightweight observability layer of the staged
 // pipeline engine: per-stage wall time, allocation and goroutine-count
 // traces recorded by the internal/pipe scheduler and surfaced on the
-// public analysis Result, plus process-wide named counters the worker
-// pool and substrates increment. Everything is safe for concurrent use.
+// public analysis Result, plus the metric registries: one per serving
+// instance or sharded tier, and one for the process (see Registry).
+// Everything is safe for concurrent use.
 package obs
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -130,39 +129,12 @@ func MemAllocated() uint64 {
 	return ms.TotalAlloc
 }
 
-// counters is the process-wide named counter registry.
-var counters sync.Map // string -> *int64
-
-// Add increments the named counter by delta.
-func Add(name string, delta int64) {
-	v, ok := counters.Load(name)
-	if !ok {
-		v, _ = counters.LoadOrStore(name, new(int64))
-	}
-	atomic.AddInt64(v.(*int64), delta)
-}
-
-// Counters snapshots every counter, sorted by name.
-func Counters() map[string]int64 {
-	out := map[string]int64{}
-	counters.Range(func(k, v interface{}) bool {
-		out[k.(string)] = atomic.LoadInt64(v.(*int64))
-		return true
-	})
-	return out
-}
-
-// CountersString renders the counter snapshot one "name value" per line,
-// sorted by name.
+// CountersString renders the process registry's counters one "name value"
+// per line, sorted by name.
 func CountersString() string {
 	snap := Counters()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, n := range names {
+	for _, n := range sortedNames(snap) {
 		fmt.Fprintf(&b, "%s %d\n", n, snap[n])
 	}
 	return b.String()

@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+
+	"repro/internal/probe"
 )
 
 // ReadBody reads a request body whole, bounded by limit bytes. When the
@@ -45,20 +47,68 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	}
 }
 
+// BodyStatus is the status a failed body read answers: 413 when the body
+// ran past its limit, 400 when it is broken.
+func BodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// writeBodyError answers a failed body read: "body exceeds <limit>
+// bytes" with 413, or what and the error with 400.
+func writeBodyError(w http.ResponseWriter, err error, limit int64, what string) {
+	if status := BodyStatus(err); status == http.StatusRequestEntityTooLarge {
+		WriteError(w, status, "body exceeds %d bytes", limit)
+	} else {
+		WriteError(w, status, "%s: %v", what, err)
+	}
+}
+
 // readBody is ReadBody with the server's limit, answering the client
 // itself on failure: 413 past the limit, 400 for a broken body.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		}
+		writeBodyError(w, err, s.cfg.MaxBodyBytes, "bad request body")
 		return nil, false
 	}
 	return body, true
+}
+
+// ReadProbeBatch reads one probe-wire-format batch from a body of at most
+// maxBytes bytes, answering the client itself when it returns false: 413
+// for a body over maxBytes or a batch over maxRecords records, and 400
+// for a malformed stream or an empty batch. malformed runs before a
+// malformed stream is answered, so the caller can count it.
+func ReadProbeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64, maxRecords int, malformed func()) ([]probe.Record, bool) {
+	reader := probe.NewReader(http.MaxBytesReader(w, r.Body, maxBytes))
+	var batch []probe.Record
+	for {
+		rec, err := reader.Read()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			if BodyStatus(err) == http.StatusBadRequest {
+				malformed()
+			}
+			writeBodyError(w, err, maxBytes, "malformed probe stream")
+			return nil, false
+		}
+		batch = append(batch, rec)
+		if len(batch) > maxRecords {
+			WriteError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d records", maxRecords)
+			return nil, false
+		}
+	}
+	if len(batch) == 0 {
+		WriteError(w, http.StatusBadRequest, "empty batch")
+		return nil, false
+	}
+	return batch, true
 }
 
 // decodeJSON decodes the first JSON value of body into v, exactly as a

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/mat"
-	"repro/internal/obs"
 	"repro/internal/pipe"
 	"repro/internal/rca"
 )
@@ -81,7 +80,7 @@ type RefreshOutcome struct {
 	Swapped bool
 	Skipped bool
 	// Stats carries the warm pipeline's drift accounting.
-	Stats analysis.RefreshStats
+	Stats    analysis.RefreshStats
 	Duration time.Duration
 }
 
@@ -108,7 +107,9 @@ type Refresher struct {
 	// refreshMu serializes refresh runs (tick loop + manual RefreshOnce).
 	refreshMu sync.Mutex
 
-	// mu guards the revision registry and telemetry.
+	// mu guards the revision registry and telemetry. info holds Swaps and
+	// the Last* fields; Info reads the other counts from the server's
+	// registry.
 	mu      sync.Mutex
 	cur     *analysis.Result
 	history map[uint64]*analysis.Result
@@ -149,12 +150,10 @@ func NewRefresher(srv *Server, base *analysis.Result, cfg RefreshConfig) (*Refre
 		lastGood: mat.NewDense(base.Dataset.Traffic.Rows(), base.Dataset.Traffic.Cols()),
 		cur:      base,
 		history:  map[uint64]*analysis.Result{},
+		info:     RefreshInfo{LastRevision: snap.Revision},
 		stop:     make(chan struct{}),
 	}
 	r.register(snap.Revision, base)
-	r.mu.Lock()
-	r.info.LastRevision = snap.Revision
-	r.mu.Unlock()
 	srv.refresh.Store(r)
 	return r, nil
 }
@@ -183,11 +182,20 @@ func (r *Refresher) ResultFor(revision uint64) (*analysis.Result, bool) {
 	return res, ok
 }
 
-// Info snapshots the refresh telemetry.
+// Info snapshots the refresh telemetry. Runs, Skipped, Escalations and
+// Errors are the server's serve.refresh.* counts, the ones /metrics
+// renders. Swaps counts this refresher's swaps only; serve.model.swaps
+// also counts direct SwapSnapshot calls.
 func (r *Refresher) Info() RefreshInfo {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.info
+	info := r.info
+	r.mu.Unlock()
+	m := r.srv.metrics
+	info.Runs = m.Counter("serve.refresh.runs")
+	info.Skipped = m.Counter("serve.refresh.skipped")
+	info.Escalations = m.Counter("serve.refresh.escalations")
+	info.Errors = m.Counter("serve.refresh.errors")
+	return info
 }
 
 // Start launches the tick loop. Safe to call once; Stop tears it down.
@@ -260,10 +268,7 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	}
 	traffic, dirty := r.acc.Materialize()
 	if len(dirty) == 0 {
-		r.mu.Lock()
-		r.info.Skipped++
-		r.mu.Unlock()
-		obs.Add("serve.refresh.skipped", 1)
+		r.srv.metrics.Add("serve.refresh.skipped", 1)
 		out.Skipped = true
 		out.Duration = time.Since(start)
 		return out, nil
@@ -309,34 +314,28 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 
 	r.mu.Lock()
 	r.cur = wres
-	r.info.Runs++
 	if swapped {
 		r.info.Swaps++
 	}
-	if st.Escalated {
-		r.info.Escalations++
-	}
 	r.info.LastDrift = st.Drift
 	r.info.LastReassigned = st.Reassigned
-	r.info.LastDurationMS = msSince(start)
+	r.info.LastDurationMS = MsSince(start)
 	r.info.LastRevision = snap.Revision
 	r.mu.Unlock()
 
-	obs.Add("serve.refresh.runs", 1)
-	obs.Add("serve.refresh.reassigned", int64(st.Reassigned))
+	m := r.srv.metrics
+	m.Add("serve.refresh.runs", 1)
+	m.Add("serve.refresh.reassigned", int64(st.Reassigned))
 	if st.Escalated {
-		obs.Add("serve.refresh.escalations", 1)
+		m.Add("serve.refresh.escalations", 1)
 	}
-	obs.ObserveMS("serve.refresh.latency.ms", msSince(start))
+	m.ObserveMS("serve.refresh.latency.ms", MsSince(start))
 	return out, nil
 }
 
-// fail counts a refresh error in telemetry and passes it through.
+// fail counts a refresh error and passes it through.
 func (r *Refresher) fail(err error) error {
-	r.mu.Lock()
-	r.info.Errors++
-	r.mu.Unlock()
-	obs.Add("serve.refresh.errors", 1)
+	r.srv.metrics.Add("serve.refresh.errors", 1)
 	return err
 }
 

@@ -22,7 +22,8 @@
 //	GET  /v1/stats     JSON serving statistics
 //	GET  /v1/model     model snapshot metadata (vector length, k, revision)
 //	GET  /healthz      liveness
-//	GET  /metrics      Prometheus text: obs counters + latency histograms
+//	GET  /metrics      Prometheus text: this server's serve.* counters and
+//	                   histograms, then the process's pipe.* and fault.*
 //
 // Production behaviors: per-request context deadlines, bounded ingest queue
 // with Retry-After hints, and graceful shutdown that stops intake, drains
@@ -35,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -172,19 +172,9 @@ type Server struct {
 	stopOnce  sync.Once
 	draining  atomic.Bool
 
-	ingestBatches   atomic.Int64
-	ingestRecords   atomic.Int64
-	ingestRejected  atomic.Int64
-	ingestMalformed atomic.Int64
-	classifyReqs    atomic.Int64
-	classifiedVecs  atomic.Int64
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
-
-	forecastReqs        atomic.Int64
-	forecastCacheHits   atomic.Int64
-	forecastCacheMisses atomic.Int64
-	planReqs            atomic.Int64
+	// metrics holds every serve.* count of this server: Stats, the
+	// refresher's Info and /metrics all read it.
+	metrics *obs.Registry
 }
 
 // New builds a server around a model snapshot. The sink may be shared with
@@ -208,6 +198,7 @@ func New(snap *ModelSnapshot, sink *collect.Sink, cfg Config) (*Server, error) {
 		cache:   newLRUCache(cfg.CacheSize),
 		fcCache: newForecastCache(cfg.ForecastCacheSize),
 		queue:   make(chan []probe.Record, cfg.QueueDepth),
+		metrics: obs.NewRegistry(obs.ServerScope),
 	}
 	s.snap.Store(snap)
 	s.mux = http.NewServeMux()
@@ -217,8 +208,8 @@ func New(snap *ModelSnapshot, sink *collect.Sink, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/plan", s.withDeadline(s.handlePlan))
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/model", s.handleModel)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/healthz", Healthz)
+	s.mux.Handle("/metrics", s.metrics)
 	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 
 	// The drain workers start with the server's lifetime, not with Start:
@@ -252,7 +243,7 @@ func (s *Server) SwapSnapshot(next *ModelSnapshot) error {
 	s.snap.Store(next)
 	s.cache.purge()
 	s.fcCache.purge()
-	obs.Add("serve.model.swaps", 1)
+	s.metrics.Add("serve.model.swaps", 1)
 	return nil
 }
 
@@ -311,7 +302,7 @@ func (s *Server) drainQueue() {
 	for batch := range s.queue {
 		_ = s.cfg.Faults.Wait(context.Background(), fault.Fold)
 		s.sink.AddBatch(batch)
-		obs.Add("serve.ingest.folded", int64(len(batch)))
+		s.metrics.Add("serve.ingest.folded", int64(len(batch)))
 	}
 }
 
@@ -326,7 +317,8 @@ func (s *Server) withDeadline(h func(http.ResponseWriter, *http.Request)) http.H
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v encoded as JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -337,8 +329,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+// WriteError answers with status and a {"error": …} body.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // handleIngest accepts one probe-wire-format batch, acks it with 202 once
@@ -347,65 +340,37 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a probe stream")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a probe stream")
 		return
 	}
 	s.sink.NoteConnection()
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	reader := probe.NewReader(body)
-	var batch []probe.Record
-	for {
-		rec, err := reader.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					"body exceeds %d bytes", tooLarge.Limit)
-				return
-			}
-			s.ingestMalformed.Add(1)
-			s.sink.NoteMalformed()
-			obs.Add("serve.ingest.malformed", 1)
-			writeError(w, http.StatusBadRequest, "malformed probe stream: %v", err)
-			return
-		}
-		batch = append(batch, rec)
-		if len(batch) > s.cfg.MaxIngestRecords {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch exceeds %d records", s.cfg.MaxIngestRecords)
-			return
-		}
-	}
-	if len(batch) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+	batch, ok := ReadProbeBatch(w, r, s.cfg.MaxBodyBytes, s.cfg.MaxIngestRecords, func() {
+		s.sink.NoteMalformed()
+		s.metrics.Add("serve.ingest.malformed", 1)
+	})
+	if !ok {
 		return
 	}
 	// Injected ingest latency lands before the ack: a spike can time the
 	// request out (503) but can never lose an acked batch.
 	if err := s.cfg.Faults.Wait(r.Context(), fault.Ingest); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
+		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	select {
 	case s.queue <- batch:
-		s.ingestBatches.Add(1)
-		s.ingestRecords.Add(int64(len(batch)))
-		obs.Add("serve.ingest.batches", 1)
-		obs.Add("serve.ingest.records", int64(len(batch)))
-		obs.ObserveMS("serve.ingest.latency.ms", msSince(startAt))
-		writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch)})
+		s.metrics.Add("serve.ingest.batches", 1)
+		s.metrics.Add("serve.ingest.records", int64(len(batch)))
+		s.metrics.ObserveMS("serve.ingest.latency.ms", MsSince(startAt))
+		WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch)})
 	default:
-		s.ingestRejected.Add(1)
-		obs.Add("serve.ingest.rejected", 1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "ingest queue full, retry later")
+		s.metrics.Add("serve.ingest.rejected", 1)
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(s.cfg.RetryAfter)))
+		WriteError(w, http.StatusTooManyRequests, "ingest queue full, retry later")
 	}
 }
 
@@ -447,7 +412,7 @@ type AntennaVerdict struct {
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a classify request")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a classify request")
 		return
 	}
 	body, ok := s.readBody(w, r)
@@ -456,27 +421,26 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := decodeClassify(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Antennas) == 0 {
-		writeError(w, http.StatusBadRequest, "no antennas in request")
+		WriteError(w, http.StatusBadRequest, "no antennas in request")
 		return
 	}
 	if len(req.Antennas) > s.cfg.MaxClassifyAntennas {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge,
 			"%d antennas exceeds the %d per-request cap", len(req.Antennas), s.cfg.MaxClassifyAntennas)
 		return
 	}
-	s.classifyReqs.Add(1)
-	obs.Add("serve.classify.requests", 1)
+	s.metrics.Add("serve.classify.requests", 1)
 
 	// Load the snapshot once: every read below (revision echo, cache keys,
 	// classification) must see the same model even if a swap lands
 	// mid-request.
 	snap := s.snap.Load()
 	if err := s.cfg.Faults.Wait(r.Context(), fault.Classify); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
+		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
 		return
 	}
 
@@ -499,19 +463,17 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		missIdx = append(missIdx, i)
 		missRows = append(missRows, a.Traffic)
 	}
-	s.cacheHits.Add(int64(resp.CacheHits))
-	s.cacheMisses.Add(int64(len(missIdx)))
-	obs.Add("serve.classify.cache.hits", int64(resp.CacheHits))
-	obs.Add("serve.classify.cache.misses", int64(len(missIdx)))
+	s.metrics.Add("serve.classify.cache.hits", int64(resp.CacheHits))
+	s.metrics.Add("serve.classify.cache.misses", int64(len(missIdx)))
 
 	if len(missIdx) > 0 {
 		clusters, err := snap.Classify(r.Context(), missRows)
 		if err != nil {
 			if r.Context().Err() != nil {
-				writeError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", r.Context().Err())
+				WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", r.Context().Err())
 				return
 			}
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		for mi, i := range missIdx {
@@ -522,38 +484,39 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.classifiedVecs.Add(int64(len(req.Antennas)))
-	obs.Add("serve.classify.antennas", int64(len(req.Antennas)))
-	obs.ObserveMS("serve.classify.latency.ms", msSince(startAt))
-	writeJSON(w, http.StatusOK, resp)
+	s.metrics.Add("serve.classify.antennas", int64(len(req.Antennas)))
+	s.metrics.ObserveMS("serve.classify.latency.ms", MsSince(startAt))
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleStats reports the server's activity snapshot.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
-// Stats snapshots the serving statistics backing /v1/stats.
+// Stats snapshots the serving statistics backing /v1/stats. Its counts
+// are read from the server's registry, the same ones /metrics renders.
 func (s *Server) Stats() Stats {
+	m := s.metrics
 	return Stats{
 		ModelRevision:     s.snap.Load().Revision,
-		IngestBatches:     s.ingestBatches.Load(),
-		IngestRecords:     s.ingestRecords.Load(),
-		IngestRejected:    s.ingestRejected.Load(),
-		IngestMalformed:   s.ingestMalformed.Load(),
+		IngestBatches:     m.Counter("serve.ingest.batches"),
+		IngestRecords:     m.Counter("serve.ingest.records"),
+		IngestRejected:    m.Counter("serve.ingest.rejected"),
+		IngestMalformed:   m.Counter("serve.ingest.malformed"),
 		QueueDepth:        len(s.queue),
 		QueueCapacity:     cap(s.queue),
-		ClassifyRequests:  s.classifyReqs.Load(),
-		ClassifiedVectors: s.classifiedVecs.Load(),
-		CacheHits:         s.cacheHits.Load(),
-		CacheMisses:       s.cacheMisses.Load(),
+		ClassifyRequests:  m.Counter("serve.classify.requests"),
+		ClassifiedVectors: m.Counter("serve.classify.antennas"),
+		CacheHits:         m.Counter("serve.classify.cache.hits"),
+		CacheMisses:       m.Counter("serve.classify.cache.misses"),
 		CacheEntries:      s.cache.len(),
 
-		ForecastRequests:     s.forecastReqs.Load(),
-		ForecastCacheHits:    s.forecastCacheHits.Load(),
-		ForecastCacheMisses:  s.forecastCacheMisses.Load(),
+		ForecastRequests:     m.Counter("serve.forecast.requests"),
+		ForecastCacheHits:    m.Counter("serve.forecast.cache.hits"),
+		ForecastCacheMisses:  m.Counter("serve.forecast.cache.misses"),
 		ForecastCacheEntries: s.fcCache.len(),
-		PlanRequests:         s.planReqs.Load(),
+		PlanRequests:         m.Counter("serve.plan.requests"),
 
 		Aggregate: s.sink.Snapshot(),
 	}
@@ -573,25 +536,23 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if ref := s.refresh.Load(); ref != nil {
 		payload["refresh"] = ref.Info()
 	}
-	writeJSON(w, http.StatusOK, payload)
+	WriteJSON(w, http.StatusOK, payload)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+// Healthz answers a liveness probe.
+func Healthz(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleMetrics renders the obs counters and latency histograms in the
-// Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write([]byte(obs.MetricsText()))
-}
-
-func msSince(t time.Time) float64 {
+// MsSince returns the milliseconds elapsed since t, at microsecond
+// resolution.
+func MsSince(t time.Time) float64 {
 	return float64(time.Since(t).Microseconds()) / 1000
 }
 
-func retryAfterSeconds(d time.Duration) int {
+// RetryAfterSeconds is the Retry-After header value for a backpressure
+// hint: d in whole seconds, at least 1.
+func RetryAfterSeconds(d time.Duration) int {
 	secs := int(d / time.Second)
 	if secs < 1 {
 		secs = 1

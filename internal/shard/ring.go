@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -65,7 +64,6 @@ func NewRing(shards, virtualNodes int, seed uint64) (*Ring, error) {
 		r.appendShardLocked(s)
 	}
 	r.sortPointsLocked()
-	r.noteChange(r.occupancySnapshot())
 	return r, nil
 }
 
@@ -115,12 +113,10 @@ func (r *Ring) ownerLocked(h uint64) int {
 // points do not move, so only the keys the new shard now owns remap.
 func (r *Ring) Add() int {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	id := len(r.alive)
 	r.appendShardLocked(id)
 	r.sortPointsLocked()
-	occ := r.occupancyLocked()
-	r.mu.Unlock()
-	r.noteChange(occ)
 	return id
 }
 
@@ -129,36 +125,19 @@ func (r *Ring) Add() int {
 // already-dead, or the last alive shard is an error.
 func (r *Ring) Remove(shard int) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if shard < 0 || shard >= len(r.alive) {
-		r.mu.Unlock()
 		return fmt.Errorf("shard: ring has no shard %d", shard)
 	}
 	if !r.alive[shard] {
-		r.mu.Unlock()
 		return fmt.Errorf("shard: shard %d already removed", shard)
 	}
 	if r.aliveN == 1 {
-		r.mu.Unlock()
 		return fmt.Errorf("shard: cannot remove the last alive shard %d", shard)
 	}
 	r.alive[shard] = false
 	r.aliveN--
-	occ := r.occupancyLocked()
-	r.mu.Unlock()
-	r.noteChange(occ)
 	return nil
-}
-
-// noteChange records a membership change and the resulting per-alive-shard
-// occupancy shares.
-func (r *Ring) noteChange(occ []float64) {
-	obs.Add("shard.ring.changes", 1)
-	h := obs.GetHistogram("shard.ring.occupancy", nil)
-	for _, share := range occ {
-		if share > 0 {
-			h.Observe(share)
-		}
-	}
 }
 
 // Shards returns the total shard count, dead shards included (shard ids
@@ -187,16 +166,8 @@ func (r *Ring) IsAlive(shard int) bool {
 // (dead shards report 0; shares sum to 1 up to float rounding). Computed
 // from arc lengths, not sampling.
 func (r *Ring) Occupancy() []float64 {
-	return r.occupancySnapshot()
-}
-
-func (r *Ring) occupancySnapshot() []float64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.occupancyLocked()
-}
-
-func (r *Ring) occupancyLocked() []float64 {
 	occ := make([]float64, len(r.alive))
 	n := len(r.points)
 	if n == 0 || r.aliveN == 0 {

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,9 +16,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/pipe"
-	"repro/internal/probe"
 	"repro/internal/serve"
 )
 
@@ -128,13 +125,6 @@ type Router struct {
 	stopOnce  sync.Once
 	draining  atomic.Bool
 	rr        atomic.Uint64
-
-	ackedBatches atomic.Int64
-	ackedRecords atomic.Int64
-	rejected     atomic.Int64
-	malformed    atomic.Int64
-	proxied      atomic.Int64
-	failovers    atomic.Int64
 	// lastFanoutMS holds float64 bits of the most recent fan-out lag.
 	lastFanoutMS atomic.Uint64
 }
@@ -164,6 +154,7 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 		sinks:  sinks,
 		client: &http.Client{},
 	}
+	rt.noteRingChange()
 	for i := 0; i < cfg.Replicas; i++ {
 		srv, err := serve.New(snap, nil, serve.Config{
 			Pool:           cfg.Pool,
@@ -197,8 +188,8 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 	}
 	rt.mux.HandleFunc("/v1/model", rt.withDeadline(rt.handleModel))
 	rt.mux.HandleFunc("/v1/stats", rt.handleStats)
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
+	rt.mux.HandleFunc("/healthz", serve.Healthz)
+	rt.mux.Handle("/metrics", rt.sinks.metrics)
 	rt.httpSrv = &http.Server{Handler: rt.mux, ReadHeaderTimeout: 5 * time.Second}
 	return rt, nil
 }
@@ -218,10 +209,10 @@ func (rt *Router) fanOut(snap *serve.ModelSnapshot, res *analysis.Result) {
 		if err := rep.srv.SwapSnapshot(snap); err != nil {
 			continue
 		}
-		obs.Add("shard.fanout.swaps", 1)
+		rt.sinks.metrics.Add("shard.fanout.swaps", 1)
 	}
-	lag := msSince(start)
-	obs.GetHistogram("shard.fanout.lag.ms", nil).Observe(lag)
+	lag := serve.MsSince(start)
+	rt.sinks.metrics.ObserveMS("shard.fanout.lag.ms", lag)
 	rt.lastFanoutMS.Store(math.Float64bits(lag))
 }
 
@@ -297,7 +288,25 @@ func (rt *Router) RefreshOnce(ctx context.Context) (serve.RefreshOutcome, error)
 // it, its queue drains every acked batch into its sink (still counted in
 // the merged totals), and in-flight offers against it turn into 429s whose
 // retries re-place against the updated ring.
-func (rt *Router) KillShard(id int) error { return rt.sinks.Kill(id) }
+func (rt *Router) KillShard(id int) error {
+	if err := rt.sinks.Kill(id); err != nil {
+		return err
+	}
+	rt.noteRingChange()
+	return nil
+}
+
+// noteRingChange records a tier membership change and the resulting
+// per-alive-shard shares of the hash space.
+func (rt *Router) noteRingChange() {
+	rt.sinks.metrics.Add("shard.ring.changes", 1)
+	h := rt.sinks.metrics.GetHistogram("shard.ring.occupancy", nil)
+	for _, share := range rt.ring.Occupancy() {
+		if share > 0 {
+			h.Observe(share)
+		}
+	}
+}
 
 // KillReplica shuts one replica down and removes it from routing.
 // In-flight proxies to it fail over to the survivors. Killing the last
@@ -321,7 +330,7 @@ func (rt *Router) KillReplica(ctx context.Context, i int) error {
 		return fmt.Errorf("shard: cannot kill the last live replica %d", i)
 	}
 	rep.alive.Store(false)
-	obs.Add("shard.replica.kills", 1)
+	rt.sinks.metrics.Add("shard.replica.kills", 1)
 	return rep.srv.Shutdown(ctx)
 }
 
@@ -381,65 +390,37 @@ func (rt *Router) withDeadline(h func(http.ResponseWriter, *http.Request)) http.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a probe stream")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST a probe stream")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	reader := probe.NewReader(body)
-	var batch []probe.Record
-	for {
-		rec, err := reader.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					"body exceeds %d bytes", tooLarge.Limit)
-				return
-			}
-			rt.malformed.Add(1)
-			obs.Add("shard.ingest.malformed", 1)
-			writeError(w, http.StatusBadRequest, "malformed probe stream: %v", err)
-			return
-		}
-		batch = append(batch, rec)
-		if len(batch) > rt.cfg.MaxIngestRecords {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch exceeds %d records", rt.cfg.MaxIngestRecords)
-			return
-		}
-	}
-	if len(batch) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+	batch, ok := serve.ReadProbeBatch(w, r, rt.cfg.MaxBodyBytes, rt.cfg.MaxIngestRecords, func() {
+		rt.sinks.metrics.Add("shard.ingest.malformed", 1)
+	})
+	if !ok {
 		return
 	}
 	// Injected ingest latency lands before the ack, mirroring the
 	// single-node server: a spike can 503 a request but never lose an
 	// acked batch.
 	if err := rt.cfg.Faults.Wait(r.Context(), fault.Ingest); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
 		return
 	}
 	if rt.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "router is shutting down")
+		serve.WriteError(w, http.StatusServiceUnavailable, "router is shutting down")
 		return
 	}
 	subs := rt.sinks.Partition(batch)
 	if !rt.sinks.Offer(subs) {
-		rt.rejected.Add(1)
-		obs.Add("shard.ingest.rejected", 1)
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(rt.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "a target shard queue is full or gone, retry")
+		rt.sinks.metrics.Add("shard.ingest.rejected", 1)
+		w.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds(rt.cfg.RetryAfter)))
+		serve.WriteError(w, http.StatusTooManyRequests, "a target shard queue is full or gone, retry")
 		return
 	}
-	rt.ackedBatches.Add(1)
-	rt.ackedRecords.Add(int64(len(batch)))
-	obs.Add("shard.ingest.batches", 1)
-	obs.Add("shard.ingest.records", int64(len(batch)))
-	obs.GetHistogram("shard.ingest.latency.ms", nil).Observe(msSince(startAt))
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch), "shards": len(subs)})
+	rt.sinks.metrics.Add("shard.ingest.batches", 1)
+	rt.sinks.metrics.Add("shard.ingest.records", int64(len(batch)))
+	rt.sinks.metrics.ObserveMS("shard.ingest.latency.ms", serve.MsSince(startAt))
+	serve.WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch), "shards": len(subs)})
 }
 
 // proxyRoutes are the POST endpoints the router relays to a replica,
@@ -460,17 +441,12 @@ var proxyRoutes = []struct{ path, methodErr string }{
 func (rt *Router) proxyPost(path, methodErr string) func(http.ResponseWriter, *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "%s", methodErr)
+			serve.WriteError(w, http.StatusMethodNotAllowed, "%s", methodErr)
 			return
 		}
 		body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
 		if err != nil {
-			status := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, status, "request body: %v", err)
+			serve.WriteError(w, serve.BodyStatus(err), "request body: %v", err)
 			return
 		}
 		rt.proxy(w, r, path, body)
@@ -502,7 +478,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, bod
 		}
 		req, err := http.NewRequestWithContext(r.Context(), method, rep.url+path, reqBody)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "proxy request: %v", err)
+			serve.WriteError(w, http.StatusInternalServerError, "proxy request: %v", err)
 			return
 		}
 		if body != nil {
@@ -511,16 +487,14 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, bod
 		resp, err := rt.client.Do(req)
 		if err != nil {
 			lastErr = err
-			rt.failovers.Add(1)
-			obs.Add("shard.router.failovers", 1)
+			rt.sinks.metrics.Add("shard.router.failovers", 1)
 			continue
 		}
-		rt.proxied.Add(1)
-		obs.Add("shard.router.proxied", 1)
+		rt.sinks.metrics.Add("shard.router.proxied", 1)
 		copyResponse(w, resp)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, "no live replica: %v", lastErr)
+	serve.WriteError(w, http.StatusServiceUnavailable, "no live replica: %v", lastErr)
 }
 
 // copyResponse relays a replica response to the client verbatim.
@@ -553,6 +527,10 @@ type ReplicaStats struct {
 
 // RouterStats is the /v1/stats payload: acked-batch accounting, proxy
 // traffic, ring placement, per-shard queues, and per-replica revisions.
+// Despite their names, ClassifyProxied and ClassifyFailovers count every
+// proxied route — classify, forecast, plan and /v1/model — the first the
+// requests a replica answered, the second the retries on another replica
+// after a transport error.
 type RouterStats struct {
 	AckedBatches      int64              `json:"acked_batches"`
 	AckedRecords      int64              `json:"acked_records"`
@@ -571,15 +549,16 @@ type RouterStats struct {
 
 // Stats snapshots the router's full state.
 func (rt *Router) Stats() RouterStats {
+	m := rt.sinks.metrics // the tier's registry, which /metrics renders too
 	st := RouterStats{
-		AckedBatches:      rt.ackedBatches.Load(),
-		AckedRecords:      rt.ackedRecords.Load(),
-		RejectedBatches:   rt.rejected.Load(),
-		MalformedStreams:  rt.malformed.Load(),
+		AckedBatches:      m.Counter("shard.ingest.batches"),
+		AckedRecords:      m.Counter("shard.ingest.records"),
+		RejectedBatches:   m.Counter("shard.ingest.rejected"),
+		MalformedStreams:  m.Counter("shard.ingest.malformed"),
 		PendingRecords:    rt.sinks.PendingRecords(),
 		FoldedRecords:     rt.sinks.FoldedRecords(),
-		ClassifyProxied:   rt.proxied.Load(),
-		ClassifyFailovers: rt.failovers.Load(),
+		ClassifyProxied:   m.Counter("shard.router.proxied"),
+		ClassifyFailovers: m.Counter("shard.router.failovers"),
 		LastFanoutMS:      math.Float64frombits(rt.lastFanoutMS.Load()),
 		Ring: RingStats{
 			Shards:    rt.ring.Shards(),
@@ -604,37 +583,5 @@ func (rt *Router) Stats() RouterStats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Stats())
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write([]byte(obs.MetricsText()))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the connection owns delivery; nothing to do on error
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1000
-}
-
-func retrySeconds(d time.Duration) int {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	serve.WriteJSON(w, http.StatusOK, rt.Stats())
 }

@@ -25,6 +25,9 @@ type Sinks struct {
 	faults *fault.Injector
 	depth  int
 	queues []*shardQueue
+	// metrics is the tier's registry: every shard.* count of these sinks
+	// and of the Router built on them.
+	metrics *obs.Registry
 }
 
 // shardQueue is one shard's bounded ingest queue plus its sink. All queue
@@ -57,19 +60,19 @@ func NewSinks(ring *Ring, depth int, faults *fault.Injector) (*Sinks, error) {
 	if depth <= 0 {
 		depth = 64
 	}
-	s := &Sinks{ring: ring, faults: faults, depth: depth}
+	s := &Sinks{ring: ring, faults: faults, depth: depth, metrics: obs.NewRegistry(obs.TierScope)}
 	for i := 0; i < ring.Shards(); i++ {
 		q := &shardQueue{id: i, sink: collect.NewSink()}
 		q.cond = sync.NewCond(&q.mu)
 		s.queues = append(s.queues, q)
-		q.tasks.Go(func() { q.drain(faults) })
+		q.tasks.Go(func() { s.drain(q) })
 	}
 	return s, nil
 }
 
 // drain folds queued batches until the queue closes, then folds whatever
 // remains — the worker never exits with acked records unfolded.
-func (q *shardQueue) drain(faults *fault.Injector) {
+func (s *Sinks) drain(q *shardQueue) {
 	for {
 		q.mu.Lock()
 		for len(q.pending) == 0 && !q.closed {
@@ -87,13 +90,13 @@ func (q *shardQueue) drain(faults *fault.Injector) {
 		// shard alone, building queue pressure that surfaces as Offer
 		// rejections upstream. Background context — a kill or shutdown
 		// must still fold acked batches, never abandon them.
-		_ = faults.Wait(context.Background(), fault.ShardFold)
+		_ = s.faults.Wait(context.Background(), fault.ShardFold)
 		q.sink.AddBatch(batch)
 
 		q.mu.Lock()
 		q.queued -= len(batch)
 		q.mu.Unlock()
-		obs.Add("shard.fold.records", int64(len(batch)))
+		s.metrics.Add("shard.fold.records", int64(len(batch)))
 	}
 }
 
@@ -162,7 +165,7 @@ func (s *Sinks) Offer(subs map[int][]probe.Record) bool {
 	for i := len(ids) - 1; i >= 0; i-- {
 		s.queues[ids[i]].mu.Unlock()
 	}
-	h := obs.GetHistogram("shard.queue.depth", nil)
+	h := s.metrics.GetHistogram("shard.queue.depth", nil)
 	for _, d := range depths {
 		h.Observe(float64(d))
 	}
@@ -188,7 +191,7 @@ func (s *Sinks) Kill(id int) error {
 	q.cond.Broadcast()
 	q.mu.Unlock()
 	q.tasks.Wait()
-	obs.Add("shard.kills", 1)
+	s.metrics.Add("shard.kills", 1)
 	return nil
 }
 
