@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -86,38 +84,25 @@ type chaosScheduleRecord struct {
 	InjectedDelays  int    `json:"injected_delays"`
 }
 
-// swapStormRecord is the refresh swap-storm leg's outcome in the
-// -chaosjson output.
-type swapStormRecord struct {
-	Seed           string `json:"seed"`
-	Swaps          int    `json:"swaps"`
-	Refreshes      int    `json:"refreshes"`
-	Escalations    int    `json:"escalations"`
-	ClassifyOK     int    `json:"classify_ok"`
-	ClassifyShed   int    `json:"classify_shed"`
-	RevisionsSeen  int    `json:"revisions_seen"`
-	InjectedErrs   int    `json:"injected_errs"`
-	InjectedDelays int    `json:"injected_delays"`
-}
-
-// shardStormRecord is the sharded chaos leg's outcome in the -chaosjson
-// output: the soak kills one shard and one replica mid-flight and holds
-// the acked-batch and per-revision parity invariants throughout.
-type shardStormRecord struct {
-	Seed           string `json:"seed"`
-	Shards         int    `json:"shards"`
-	Replicas       int    `json:"replicas"`
-	RingDigest     string `json:"ring_digest"`
-	AckedBatches   int    `json:"acked_batches"`
-	RejectedBatch  int    `json:"rejected_batches"`
-	FoldedRecords  int    `json:"folded_records"`
-	ClassifyOK     int    `json:"classify_ok"`
-	ClassifyShed   int    `json:"classify_shed"`
-	Failovers      int64  `json:"failovers"`
-	Swaps          int    `json:"swaps"`
-	RevisionsSeen  int    `json:"revisions_seen"`
-	InjectedErrs   int    `json:"injected_errs"`
-	InjectedDelays int    `json:"injected_delays"`
+// stormRecord is a storm leg's outcome in the -chaosjson output. The
+// shard, replica and ring fields belong to the sharded storm.
+type stormRecord struct {
+	Seed            string `json:"seed"`
+	Shards          int    `json:"shards,omitempty"`
+	Replicas        int    `json:"replicas,omitempty"`
+	RingDigest      string `json:"ring_digest,omitempty"`
+	AckedBatches    int    `json:"acked_batches"`
+	RejectedBatches int    `json:"rejected_batches"`
+	FoldedRecords   int    `json:"folded_records"`
+	ClassifyOK      int    `json:"classify_ok"`
+	ClassifyShed    int    `json:"classify_shed"`
+	Failovers       int64  `json:"failovers"`
+	Swaps           int    `json:"swaps"`
+	Refreshes       int    `json:"refreshes"`
+	Escalations     int    `json:"escalations"`
+	RevisionsSeen   int    `json:"revisions_seen"`
+	InjectedErrs    int    `json:"injected_errs"`
+	InjectedDelays  int    `json:"injected_delays"`
 }
 
 // chaosRecord is the -chaosjson schema.
@@ -129,17 +114,30 @@ type chaosRecord struct {
 	RevisionA  uint64                `json:"revision_a"`
 	RevisionB  uint64                `json:"revision_b"`
 	Schedules  []chaosScheduleRecord `json:"schedules"`
-	SwapStorm  *swapStormRecord      `json:"swap_storm,omitempty"`
-	ShardStorm *shardStormRecord     `json:"shard_storm,omitempty"`
+	SwapStorm  stormRecord           `json:"swap_storm"`
+	ShardStorm stormRecord           `json:"shard_storm"`
 }
+
+const (
+	// chaosSwaps is how many refresh-driven snapshot swaps the swap storm
+	// must complete with parity held.
+	chaosSwaps = 50
+	// chaosShards is the sharded storm's ring size; one shard and one of
+	// its two replicas are killed mid-soak.
+	chaosShards = 3
+	// stormClients classify concurrently for a storm's whole lifetime.
+	stormClients = 3
+	// probeAntennas is the outdoor-row classify batch every chaos leg posts.
+	probeAntennas = 32
+)
 
 // runChaos trains two model snapshots (a "retrain" pair over the same
 // synthetic population) and soaks them under schedules seeded fault plans,
-// then runs the refresher swap storm: swaps consecutive refresh-driven
-// snapshot publishes raced against classify load under the same fault
-// rules, each response audited against the offline result of whichever
-// revision it echoes.
-func runChaos(cfg analysis.Config, schedules, swaps, chaosShards int, outPath string) error {
+// then runs the refresher swap storm: chaosSwaps consecutive
+// refresh-driven snapshot publishes raced against classify load under the
+// same fault rules, each response audited against the offline result of
+// whichever revision it echoes. The sharded storm closes the soak.
+func runChaos(cfg analysis.Config, schedules int, outPath string) error {
 	if schedules <= 0 {
 		schedules = 3
 	}
@@ -177,9 +175,14 @@ func runChaos(cfg analysis.Config, schedules, swaps, chaosShards int, outPath st
 	}
 	// Offline ground truth per revision: invariant 2 checks every classify
 	// response against the labels of the model revision it echoes.
-	labels := map[uint64][]int{
-		snapA.Revision: resA.OutdoorLabels,
-		snapB.Revision: resB.OutdoorLabels,
+	pair := map[uint64]*analysis.Result{snapA.Revision: resA, snapB.Revision: resB}
+	resultFor := func(rev uint64) (*analysis.Result, bool) {
+		res, ok := pair[rev]
+		return res, ok
+	}
+	batch, err := outdoorBatch(resA, 0, probeAntennas)
+	if err != nil {
+		return err
 	}
 
 	rec := chaosRecord{
@@ -187,15 +190,18 @@ func runChaos(cfg analysis.Config, schedules, swaps, chaosShards int, outPath st
 		PlanDigest: fmt.Sprintf("%#016x", plan),
 		RevisionA:  snapA.Revision, RevisionB: snapB.Revision,
 	}
-	reproduce := fmt.Sprintf("go run ./cmd/icnbench -chaos -seed %d -chaosschedules %d -chaosswaps %d -chaosshards %d -scale %g -trees %d",
-		cfg.Seed, schedules, swaps, chaosShards, cfg.Scale, cfg.ForestTrees)
+	reproduce := fmt.Sprintf("go run ./cmd/icnbench -chaos -seed %d -chaosschedules %d -scale %g -trees %d",
+		cfg.Seed, schedules, cfg.Scale, cfg.ForestTrees)
+	failed := func(leg string, seed uint64, err error) error {
+		fmt.Printf("icnbench: chaos %s FAILED (seed %#016x): %v\n", leg, seed, err)
+		fmt.Printf("icnbench: reproduce with: %s\n", reproduce)
+		return fmt.Errorf("icnbench: chaos %s: %w", leg, err)
+	}
 	for i := 0; i < schedules; i++ {
 		si := scheduleSeed(cfg.Seed, i)
-		sr, err := runChaosSchedule(si, rules, snapA, snapB, resA, labels)
+		sr, err := runChaosSchedule(si, rules, snapA, snapB, batch, resultFor)
 		if err != nil {
-			fmt.Printf("icnbench: chaos schedule %d FAILED (seed %#016x): %v\n", i, si, err)
-			fmt.Printf("icnbench: reproduce with: %s\n", reproduce)
-			return fmt.Errorf("icnbench: chaos schedule %d: %w", i, err)
+			return failed(fmt.Sprintf("schedule %d", i), si, err)
 		}
 		sr.Digest = fmt.Sprintf("%#016x", fault.Digest(si, rules, 512))
 		fmt.Printf("icnbench: chaos schedule %d OK — seed %#016x acked=%d rejected=%d folded=%d classify_ok=%d shed=%d swaps=%d exports=%d retries=%d faults(err=%d delay=%d)\n",
@@ -205,47 +211,32 @@ func runChaos(cfg analysis.Config, schedules, swaps, chaosShards int, outPath st
 		rec.Schedules = append(rec.Schedules, sr)
 	}
 
-	if swaps > 0 {
-		stormSeed := scheduleSeed(cfg.Seed, schedules)
-		ss, err := runSwapStorm(stormSeed, rules, resA, swaps)
-		if err != nil {
-			fmt.Printf("icnbench: chaos swap storm FAILED (seed %#016x): %v\n", stormSeed, err)
-			fmt.Printf("icnbench: reproduce with: %s\n", reproduce)
-			return fmt.Errorf("icnbench: chaos swap storm: %w", err)
-		}
-		fmt.Printf("icnbench: chaos swap storm OK — seed %#016x swaps=%d refreshes=%d escalations=%d classify_ok=%d shed=%d revisions_seen=%d faults(err=%d delay=%d)\n",
-			stormSeed, ss.Swaps, ss.Refreshes, ss.Escalations, ss.ClassifyOK, ss.ClassifyShed,
-			ss.RevisionsSeen, ss.InjectedErrs, ss.InjectedDelays)
-		rec.SwapStorm = &ss
+	stormSeed := scheduleSeed(cfg.Seed, schedules)
+	rec.SwapStorm, err = runSwapStorm(stormSeed, rules, resA, batch)
+	if err != nil {
+		return failed("swap storm", stormSeed, err)
 	}
+	ss := rec.SwapStorm
+	fmt.Printf("icnbench: chaos swap storm OK — seed %#016x swaps=%d refreshes=%d escalations=%d classify_ok=%d shed=%d revisions_seen=%d faults(err=%d delay=%d)\n",
+		stormSeed, ss.Swaps, ss.Refreshes, ss.Escalations, ss.ClassifyOK, ss.ClassifyShed,
+		ss.RevisionsSeen, ss.InjectedErrs, ss.InjectedDelays)
 
-	if chaosShards > 0 {
-		shardSeed := scheduleSeed(cfg.Seed, schedules+1)
-		sh, err := runShardStorm(shardSeed, rules, resA, chaosShards)
-		if err != nil {
-			fmt.Printf("icnbench: chaos shard storm FAILED (seed %#016x): %v\n", shardSeed, err)
-			fmt.Printf("icnbench: reproduce with: %s\n", reproduce)
-			return fmt.Errorf("icnbench: chaos shard storm: %w", err)
-		}
-		fmt.Printf("icnbench: chaos shard storm OK — seed %#016x ring=%s acked=%d rejected=%d folded=%d classify_ok=%d shed=%d failovers=%d swaps=%d revisions=%d faults(err=%d delay=%d)\n",
-			shardSeed, sh.RingDigest, sh.AckedBatches, sh.RejectedBatch, sh.FoldedRecords,
-			sh.ClassifyOK, sh.ClassifyShed, sh.Failovers, sh.Swaps, sh.RevisionsSeen,
-			sh.InjectedErrs, sh.InjectedDelays)
-		rec.ShardStorm = &sh
+	shardSeed := scheduleSeed(cfg.Seed, schedules+1)
+	rec.ShardStorm, err = runShardStorm(shardSeed, rules, resA, batch)
+	if err != nil {
+		return failed("shard storm", shardSeed, err)
 	}
+	sh := rec.ShardStorm
+	fmt.Printf("icnbench: chaos shard storm OK — seed %#016x ring=%s acked=%d rejected=%d folded=%d classify_ok=%d shed=%d failovers=%d swaps=%d revisions=%d faults(err=%d delay=%d)\n",
+		shardSeed, sh.RingDigest, sh.AckedBatches, sh.RejectedBatches, sh.FoldedRecords,
+		sh.ClassifyOK, sh.ClassifyShed, sh.Failovers, sh.Swaps, sh.RevisionsSeen,
+		sh.InjectedErrs, sh.InjectedDelays)
 	fmt.Printf("icnbench: chaos PASS — %d schedules, all invariants held; reproduce with: %s\n", schedules, reproduce)
 
-	if outPath != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "icnbench: wrote chaos record to %s\n", outPath)
+	if outPath == "" {
+		return nil
 	}
-	return nil
+	return writeJSON(outPath, "chaos record", rec)
 }
 
 // chaosExportRecords builds one exporter batch tagged with the batch index
@@ -266,8 +257,8 @@ func chaosExportRecords(batch, n int) []probe.Record {
 // soak invariants. All legs share one injector, so the schedule exercises
 // cross-seam interleavings while each seam's decision stream stays a pure
 // function of the seed.
-func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
-	snapA, snapB *serve.ModelSnapshot, res *analysis.Result, labels map[uint64][]int,
+func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule, snapA, snapB *serve.ModelSnapshot,
+	batch classifyBatch, resultFor func(uint64) (*analysis.Result, bool),
 ) (chaosScheduleRecord, error) {
 	var out chaosScheduleRecord
 	out.Seed = fmt.Sprintf("%#016x", seed)
@@ -283,7 +274,7 @@ func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
 	if err := srv.Start(); err != nil {
 		return out, err
 	}
-	url := "http://" + srv.Addr().String()
+	d := newDriver("http://"+srv.Addr().String(), 30*time.Second, sendOnce)
 
 	col, err := collect.ListenContext(ctx, "127.0.0.1:0")
 	if err != nil {
@@ -299,74 +290,34 @@ func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
 	const (
 		ingestBatches, ingestPerBatch = 40, 25
 		classifyClients, classifyReqs = 3, 12
-		classifyBatch                 = 32
 		swapCount                     = 8
 		exportBatches, exportPerBatch = 10, 30
 		exportAttempts                = 12
 	)
-	var ingestStream bytes.Buffer
-	pw := probe.NewWriter(&ingestStream)
-	for _, r := range chaosExportRecords(0, ingestPerBatch) {
-		if err := pw.Write(r); err != nil {
-			return out, err
-		}
-	}
-	if err := pw.Flush(); err != nil {
+	ingestStream, err := encodeProbes(chaosExportRecords(0, ingestPerBatch))
+	if err != nil {
 		return out, err
 	}
 
-	outdoor := res.Dataset.OutdoorTraffic
-	nVec := classifyBatch
-	if nVec > outdoor.Rows() {
-		nVec = outdoor.Rows()
-	}
-	var classifyBody []byte
-	{
-		var req serve.ClassifyRequest
-		for i := 0; i < nVec; i++ {
-			req.Antennas = append(req.Antennas, serve.AntennaVector{
-				ID: uint32(i), Traffic: outdoor.Row(i),
-			})
-		}
-		classifyBody, err = json.Marshal(req)
-		if err != nil {
-			return out, err
-		}
-	}
-
 	var (
-		mu      sync.Mutex
-		legErrs []error
-		legs    pipe.Tasks
+		errs legErrs
+		legs pipe.Tasks
 	)
-	fail := func(err error) {
-		mu.Lock()
-		legErrs = append(legErrs, err)
-		mu.Unlock()
-	}
 
 	// Leg 1: ingest pressure. 202s are a durability promise; 429/503 is
 	// sanctioned degradation under the injected fold delays.
 	acked := 0
 	legs.Go(func() {
-		client := &http.Client{Timeout: 30 * time.Second}
 		for b := 0; b < ingestBatches; b++ {
-			resp, err := client.Post(url+"/v1/ingest", "application/octet-stream", bytes.NewReader(ingestStream.Bytes()))
+			ok, shed, err := d.ingest(ctx, ingestStream)
 			if err != nil {
-				fail(fmt.Errorf("ingest leg: %w", err))
+				errs.fail(fmt.Errorf("ingest leg: %w", err))
 				return
 			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusAccepted:
+			if ok {
 				acked++
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				out.RejectedBatches++
-			default:
-				fail(fmt.Errorf("ingest leg: unexpected status %d", resp.StatusCode))
-				return
 			}
+			out.RejectedBatches += shed
 		}
 	})
 
@@ -375,49 +326,24 @@ func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
 	classifyOK := make([]int, classifyClients)
 	classifyShed := make([]int, classifyClients)
 	for c := 0; c < classifyClients; c++ {
-		c := c
 		legs.Go(func() {
-			client := &http.Client{Timeout: 30 * time.Second}
 			for r := 0; r < classifyReqs; r++ {
-				resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(classifyBody))
+				got, err := d.classify(ctx, batch, resultFor)
 				if err != nil {
-					fail(fmt.Errorf("classify leg %d: %w", c, err))
+					errs.fail(fmt.Errorf("classify leg %d: %w", c, err))
 					return
 				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusServiceUnavailable {
+				if got.shed {
 					classifyShed[c]++
-					continue
+				} else {
+					classifyOK[c]++
 				}
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("classify leg %d: status %d: %s", c, resp.StatusCode, body))
-					return
-				}
-				var cr serve.ClassifyResponse
-				if err := json.Unmarshal(body, &cr); err != nil {
-					fail(fmt.Errorf("classify leg %d: %w", c, err))
-					return
-				}
-				want, ok := labels[cr.ModelRevision]
-				if !ok {
-					fail(fmt.Errorf("classify leg %d: response echoes unknown model revision %d", c, cr.ModelRevision))
-					return
-				}
-				for i, v := range cr.Results {
-					if v.Cluster != want[i] {
-						fail(fmt.Errorf("classify leg %d: antenna %d served cluster %d under revision %d, offline labels say %d",
-							c, v.ID, v.Cluster, cr.ModelRevision, want[i]))
-						return
-					}
-				}
-				classifyOK[c]++
 			}
 		})
 	}
 
 	// Leg 3: model swaps racing the classify load; each swap purges the
-	// verdict LRU (the PR's stale-cache fix).
+	// verdict LRU, so no verdict outlives the model that computed it.
 	legs.Go(func() {
 		for sw := 0; sw < swapCount; sw++ {
 			next := snapB
@@ -425,7 +351,7 @@ func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
 				next = snapA
 			}
 			if err := srv.SwapSnapshot(next); err != nil {
-				fail(fmt.Errorf("swap leg: %w", err))
+				errs.fail(fmt.Errorf("swap leg: %w", err))
 				return
 			}
 			out.Swaps++
@@ -452,12 +378,12 @@ func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
 				}
 				exportRetries++
 				if ctx.Err() != nil {
-					fail(fmt.Errorf("export leg: %w", ctx.Err()))
+					errs.fail(fmt.Errorf("export leg: %w", ctx.Err()))
 					return
 				}
 			}
 			if !delivered {
-				fail(fmt.Errorf("export leg: batch %d lost after %d attempts", b, exportAttempts))
+				errs.fail(fmt.Errorf("export leg: batch %d lost after %d attempts", b, exportAttempts))
 				return
 			}
 			out.ExportBatches++
@@ -473,21 +399,21 @@ func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
 	out.ExportRetries = exportRetries
 
 	// Fault counters must be visible on /metrics while the server is live.
-	if resp, err := http.Get(url + "/metrics"); err == nil {
+	if resp, err := http.Get(d.url + "/metrics"); err == nil {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if !strings.Contains(string(body), "icn_fault_serve_fold_delays") {
-			fail(fmt.Errorf("metrics: no icn_fault_serve_fold_delays counter exported"))
+			errs.fail(fmt.Errorf("metrics: no icn_fault_serve_fold_delays counter exported"))
 		}
 	} else {
-		fail(fmt.Errorf("metrics: %w", err))
+		errs.fail(fmt.Errorf("metrics: %w", err))
 	}
 
 	// Invariant 3: the drain itself is bounded.
 	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer sdCancel()
 	if err := srv.Shutdown(sdCtx); err != nil {
-		fail(fmt.Errorf("shutdown under fault (possible deadlock): %w", err))
+		errs.fail(fmt.Errorf("shutdown under fault (possible deadlock): %w", err))
 	}
 	colCancel()
 	colTasks.Wait()
@@ -495,34 +421,157 @@ func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
 	// Invariant 1: exactly the acked ingest records, no more, no fewer.
 	out.FoldedRecords = srv.Sink().Snapshot().Records
 	if want := acked * ingestPerBatch; out.FoldedRecords != want {
-		fail(fmt.Errorf("acked-batch loss: aggregate holds %d records, want %d (%d acked × %d)",
+		errs.fail(fmt.Errorf("acked-batch loss: aggregate holds %d records, want %d (%d acked × %d)",
 			out.FoldedRecords, want, acked, ingestPerBatch))
 	}
 	// Exporter at-least-once: every delivered batch is fully present.
 	if got, want := col.Sink().Snapshot().Records, out.ExportBatches*exportPerBatch; got < want {
-		fail(fmt.Errorf("export loss: collector holds %d records, want >= %d", got, want))
+		errs.fail(fmt.Errorf("export loss: collector holds %d records, want >= %d", got, want))
 	}
-	for _, c := range inj.Stats() {
-		out.InjectedErrs += int(c.Errs)
-		out.InjectedDelays += int(c.Delays)
-	}
-	if len(legErrs) > 0 {
-		return out, legErrs[0]
-	}
-	return out, nil
+	out.InjectedErrs, out.InjectedDelays = faultTotals(inj)
+	return out, errs.first()
 }
 
-// runSwapStorm closes the ingest → refresh → swap loop under fire: a
-// Refresher drives at least `swaps` consecutive snapshot publishes — each
-// seeded by fresh aggregates landing through the faulted fold path — while
-// classify clients hammer the server throughout. Every 200 must match the
-// offline OutdoorLabels of the exact revision the response echoes
-// (resolved through the refresher's revision registry), so the
-// served↔offline consistency invariant is audited across the entire swap
-// history, not just a retrain pair.
-func runSwapStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.Result, swaps int) (swapStormRecord, error) {
-	var out swapStormRecord
-	out.Seed = fmt.Sprintf("%#016x", seed)
+// storm is the loop both storm legs run against their tier. Classify
+// clients post the probe batch for the storm's whole lifetime, so every
+// swap and kill races in-flight requests, and every 200 is audited against
+// the offline result of the revision it echoes. Meanwhile the loop ingests
+// one generated batch per iteration, waits for it to fold, and refreshes,
+// until the tier has swapped the wanted number of times. The first warmup
+// iterations only ingest; midway, if set, runs before iteration warmup/2.
+type storm struct {
+	url       string
+	resultFor func(uint64) (*analysis.Result, bool)
+	refresh   func(context.Context) (serve.RefreshOutcome, error)
+	folded    func() int // records folded into the tier's aggregates
+	shutdown  func(context.Context) error
+	// records is the leg's batch generator; it decides whether a refresh
+	// has anything to swap.
+	records func(iter int) []probe.Record
+	warmup  int
+	midway  func() error
+}
+
+// run drives the storm to swaps swaps and then checks that the drain is
+// bounded and folds exactly the acked records, filling out's counters.
+func (s storm) run(ctx context.Context, batch classifyBatch, swaps int, out *stormRecord) error {
+	var errs legErrs
+	d := newDriver(s.url, 30*time.Second, stormRetry)
+
+	var (
+		mu      sync.Mutex
+		revSeen = map[uint64]bool{}
+		stop    = make(chan struct{})
+		clients pipe.Tasks
+	)
+	for c := 0; c < stormClients; c++ {
+		clients.Go(func() {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, err := d.classify(ctx, batch, s.resultFor)
+				if err != nil {
+					errs.fail(fmt.Errorf("classify client %d: %w", c, err))
+					return
+				}
+				mu.Lock()
+				if got.shed {
+					out.ClassifyShed++
+				} else {
+					out.ClassifyOK++
+					revSeen[got.rev] = true
+				}
+				mu.Unlock()
+			}
+		})
+	}
+
+	acked := 0
+	maxIters := s.warmup + 3*swaps + 10
+	for iter := 0; out.Swaps < swaps && errs.first() == nil; iter++ {
+		if iter >= maxIters {
+			errs.fail(fmt.Errorf("only %d/%d swaps after %d iterations", out.Swaps, swaps, iter))
+			break
+		}
+		if iter == s.warmup/2 && s.midway != nil {
+			if err := s.midway(); err != nil {
+				errs.fail(err)
+				break
+			}
+		}
+		recs := s.records(iter)
+		stream, err := encodeProbes(recs)
+		if err != nil {
+			errs.fail(fmt.Errorf("ingest %d: %w", iter, err))
+			break
+		}
+		// 429/503 under queue pressure is sanctioned degradation: the
+		// driver backs off and re-sends until the batch is acked.
+		landed, shed, err := d.ingest(ctx, stream)
+		out.RejectedBatches += shed
+		if err == nil && !landed {
+			err = fmt.Errorf("batch never acked in %d attempts", d.attempts)
+		}
+		if err != nil {
+			errs.fail(fmt.Errorf("ingest %d: %w", iter, err))
+			break
+		}
+		out.AckedBatches++
+		acked += len(recs)
+		if iter < s.warmup {
+			continue
+		}
+		// The ack is a durability promise, not a visibility one: wait for
+		// the batch to clear the faulted fold path so the refresh sees it.
+		for s.folded() < acked && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		rctx, rcancel := context.WithTimeout(ctx, 2*time.Minute)
+		ro, err := s.refresh(rctx)
+		rcancel()
+		if err != nil {
+			errs.fail(fmt.Errorf("refresh %d: %w", iter, err))
+			break
+		}
+		out.Refreshes++
+		if ro.Stats.Escalated {
+			out.Escalations++
+		}
+		if ro.Swapped {
+			out.Swaps++
+		}
+	}
+	close(stop)
+	clients.Wait()
+	out.RevisionsSeen = len(revSeen)
+
+	// The drain stays bounded with the storm's history behind it, and
+	// folds every acked batch (a killed shard's drained aggregate
+	// included).
+	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer sdCancel()
+	if err := s.shutdown(sdCtx); err != nil {
+		errs.fail(fmt.Errorf("shutdown (possible deadlock): %w", err))
+	}
+	out.FoldedRecords = s.folded()
+	if out.FoldedRecords != acked {
+		errs.fail(fmt.Errorf("acked-batch loss: aggregates hold %d records, want %d (%d acked batches)",
+			out.FoldedRecords, acked, out.AckedBatches))
+	}
+	return errs.first()
+}
+
+// runSwapStorm closes the ingest → refresh → swap loop under fire on one
+// server: a Refresher drives chaosSwaps consecutive snapshot publishes,
+// each seeded by fresh aggregates landing through the faulted fold path.
+// Parity resolves through the refresher's revision registry, so the
+// served↔offline invariant is audited across the entire swap history, not
+// just a retrain pair.
+func runSwapStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.Result, batch classifyBatch) (stormRecord, error) {
+	out := stormRecord{Seed: fmt.Sprintf("%#016x", seed)}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
@@ -538,14 +587,12 @@ func runSwapStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.R
 	if err := srv.Start(); err != nil {
 		return out, err
 	}
-	url := "http://" + srv.Addr().String()
-
 	// Interval: time.Hour — the storm paces refreshes by swap count, not
 	// wall time, so RefreshOnce is driven manually. History must outlast
 	// the storm: a response may echo any revision ever published.
 	ref, err := serve.NewRefresher(srv, base, serve.RefreshConfig{
 		Interval: time.Hour,
-		History:  swaps + 16,
+		History:  chaosSwaps + 16,
 	})
 	if err != nil {
 		sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -554,240 +601,46 @@ func runSwapStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.R
 		return out, err
 	}
 
-	outdoor := base.Dataset.OutdoorTraffic
-	nVec := 32
-	if nVec > outdoor.Rows() {
-		nVec = outdoor.Rows()
-	}
-	var creq serve.ClassifyRequest
-	for i := 0; i < nVec; i++ {
-		creq.Antennas = append(creq.Antennas, serve.AntennaVector{
-			ID: uint32(i), Traffic: outdoor.Row(i),
-		})
-	}
-	classifyBody, err := json.Marshal(creq)
-	if err != nil {
-		return out, err
-	}
-
-	var (
-		mu           sync.Mutex
-		legErrs      []error
-		revSeen      = map[uint64]bool{}
-		classifyOK   int
-		classifyShed int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		legErrs = append(legErrs, err)
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(legErrs) > 0
-	}
-
-	// Classify clients run for the storm's whole lifetime so every swap
-	// races in-flight requests.
-	stopClients := make(chan struct{})
-	var clients pipe.Tasks
-	const classifyClients = 3
-	for c := 0; c < classifyClients; c++ {
-		c := c
-		clients.Go(func() {
-			client := &http.Client{Timeout: 30 * time.Second}
-			for {
-				select {
-				case <-stopClients:
-					return
-				default:
-				}
-				resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(classifyBody))
-				if err != nil {
-					fail(fmt.Errorf("swap-storm classify %d: %w", c, err))
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusServiceUnavailable {
-					mu.Lock()
-					classifyShed++
-					mu.Unlock()
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("swap-storm classify %d: status %d: %s", c, resp.StatusCode, body))
-					return
-				}
-				var cr serve.ClassifyResponse
-				if err := json.Unmarshal(body, &cr); err != nil {
-					fail(fmt.Errorf("swap-storm classify %d: %w", c, err))
-					return
-				}
-				offline, ok := ref.ResultFor(cr.ModelRevision)
-				if !ok {
-					fail(fmt.Errorf("swap-storm classify %d: response echoes revision %d with no registered offline result", c, cr.ModelRevision))
-					return
-				}
-				for _, v := range cr.Results {
-					if v.Cluster != offline.OutdoorLabels[v.ID] {
-						fail(fmt.Errorf("swap-storm classify %d: antenna %d served cluster %d under revision %d, offline labels say %d",
-							c, v.ID, v.Cluster, cr.ModelRevision, offline.OutdoorLabels[v.ID]))
-						return
-					}
-				}
-				mu.Lock()
-				classifyOK++
-				revSeen[cr.ModelRevision] = true
-				mu.Unlock()
-			}
-		})
-	}
-
-	// Storm loop: ingest a fresh batch over HTTP (through the faulted fold
-	// path), wait for it to clear the queue, refresh, count the swap.
 	// Rotating antennas and growing volumes keep every fold perturbing the
 	// Eq. 5 shares, so each refresh mints a fresh fingerprint; periodic
-	// wide bursts push reassignment toward the escalation path.
+	// wide bursts push reassignment toward the escalation path. Real
+	// catalog domains: the fold must land in the classified traffic matrix,
+	// or the refresh has nothing to do.
 	nIndoor := base.Dataset.Traffic.Rows()
-	ingestClient := &http.Client{Timeout: 30 * time.Second}
-	const perBatch = 25
-	ackedRecords := 0
-	maxIters := 3*swaps + 10
-	for iter := 0; out.Swaps < swaps && !failed(); iter++ {
-		if iter >= maxIters {
-			fail(fmt.Errorf("swap-storm: only %d/%d swaps after %d refresh attempts", out.Swaps, swaps, iter))
-			break
-		}
-		if ctx.Err() != nil {
-			fail(fmt.Errorf("swap-storm: %w", ctx.Err()))
-			break
-		}
-		var stream bytes.Buffer
-		pw := probe.NewWriter(&stream)
-		spread := 1
-		if iter%7 == 6 {
-			spread = 17 // burst across distant antennas
-		}
-		writeErr := error(nil)
-		for j := 0; j < perBatch; j++ {
-			// Real catalog domains: the storm needs the fold to land in the
-			// classified traffic matrix, or the refresh has nothing to do.
-			rec := probe.Record{
-				Hour: uint32(j % 24), AntennaID: uint32((iter*13 + j*spread) % nIndoor),
-				Protocol: probe.TCP, ServerPort: 443,
-				ServerName: probe.DomainOf((iter + j) % services.M),
-				DownBytes:  (1 + uint64(iter%5)) << 20, UpBytes: 1 << 16,
+	err = storm{
+		url:       "http://" + srv.Addr().String(),
+		resultFor: ref.ResultFor,
+		refresh:   ref.RefreshOnce,
+		folded:    func() int { return srv.Sink().Snapshot().Records },
+		shutdown:  srv.Shutdown,
+		records: func(iter int) []probe.Record {
+			spread := 1
+			if iter%7 == 6 {
+				spread = 17 // burst across distant antennas
 			}
-			if err := pw.Write(rec); err != nil {
-				writeErr = err
-				break
+			recs := make([]probe.Record, 25)
+			for j := range recs {
+				recs[j] = probe.Record{
+					Hour: uint32(j % 24), AntennaID: uint32((iter*13 + j*spread) % nIndoor),
+					Protocol: probe.TCP, ServerPort: 443,
+					ServerName: probe.DomainOf((iter + j) % services.M),
+					DownBytes:  (1 + uint64(iter%5)) << 20, UpBytes: 1 << 16,
+				}
 			}
-		}
-		if writeErr == nil {
-			writeErr = pw.Flush()
-		}
-		if writeErr != nil {
-			fail(fmt.Errorf("swap-storm ingest %d: %w", iter, writeErr))
-			break
-		}
-
-		// 429/503 under queue pressure is sanctioned degradation: back off
-		// and re-send until the batch is acked.
-		landed := false
-		for attempt := 0; attempt < 100 && ctx.Err() == nil; attempt++ {
-			resp, err := ingestClient.Post(url+"/v1/ingest", "application/octet-stream", bytes.NewReader(stream.Bytes()))
-			if err != nil {
-				fail(fmt.Errorf("swap-storm ingest %d: %w", iter, err))
-				break
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusAccepted {
-				landed = true
-				ackedRecords += perBatch
-				break
-			}
-			if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
-			fail(fmt.Errorf("swap-storm ingest %d: unexpected status %d", iter, resp.StatusCode))
-			break
-		}
-		if !landed {
-			if !failed() {
-				fail(fmt.Errorf("swap-storm ingest %d: batch never acked", iter))
-			}
-			break
-		}
-		// The ack is a durability promise, not a visibility one: wait for
-		// the batch to clear the faulted fold path so the refresh sees it.
-		for srv.Sink().Snapshot().Records < ackedRecords && ctx.Err() == nil {
-			time.Sleep(time.Millisecond)
-		}
-
-		rctx, rcancel := context.WithTimeout(ctx, 2*time.Minute)
-		ro, err := ref.RefreshOnce(rctx)
-		rcancel()
-		if err != nil {
-			fail(fmt.Errorf("swap-storm refresh %d: %w", iter, err))
-			break
-		}
-		out.Refreshes++
-		if ro.Stats.Escalated {
-			out.Escalations++
-		}
-		if ro.Swapped {
-			out.Swaps++
-		}
-	}
-
-	close(stopClients)
-	clients.Wait()
-
-	// The drain itself stays bounded even with the storm's history behind
-	// it.
-	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer sdCancel()
-	if err := srv.Shutdown(sdCtx); err != nil {
-		fail(fmt.Errorf("swap-storm shutdown (possible deadlock): %w", err))
-	}
-
-	mu.Lock()
-	out.ClassifyOK = classifyOK
-	out.ClassifyShed = classifyShed
-	out.RevisionsSeen = len(revSeen)
-	mu.Unlock()
-	for _, c := range inj.Stats() {
-		out.InjectedErrs += int(c.Errs)
-		out.InjectedDelays += int(c.Delays)
-	}
-	if out.Swaps < swaps {
-		if len(legErrs) > 0 {
-			return out, legErrs[0]
-		}
-		return out, fmt.Errorf("swap-storm: %d swaps, want >= %d", out.Swaps, swaps)
-	}
-	if len(legErrs) > 0 {
-		return out, legErrs[0]
-	}
-	return out, nil
+			return recs
+		},
+	}.run(ctx, batch, chaosSwaps, &out)
+	out.InjectedErrs, out.InjectedDelays = faultTotals(inj)
+	return out, err
 }
 
 // runShardStorm soaks the sharded tier under the same seeded fault rules:
-// concurrent ingest and classify load through the router while one shard
-// and one replica are killed mid-flight and a refresh fans a new revision
-// out to the survivors. Invariants: every 202-acked batch is folded into
-// some shard sink by the drain (kills included), every classify 200
-// matches the offline labels of the revision it echoes, and nothing hangs
-// past the hard deadline.
-func runShardStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.Result, shards int) (shardStormRecord, error) {
-	var out shardStormRecord
-	out.Seed = fmt.Sprintf("%#016x", seed)
-	out.Shards = shards
-	out.Replicas = 2
+// ingest and classify load through the router while one shard and one
+// replica are killed mid-flight, then a refresh fans a new revision out to
+// the survivors. Ingest retries re-partition against the updated ring,
+// which is how acked batches survive the shard kill.
+func runShardStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.Result, batch classifyBatch) (stormRecord, error) {
+	out := stormRecord{Seed: fmt.Sprintf("%#016x", seed), Shards: chaosShards, Replicas: 2}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
@@ -797,7 +650,7 @@ func runShardStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.
 		return out, err
 	}
 	rt, err := shard.NewRouter(snap, base, shard.Config{
-		Shards: shards, Replicas: 2,
+		Shards: chaosShards, Replicas: out.Replicas,
 		RingSeed: seed, QueueDepth: 8, Faults: inj,
 	})
 	if err != nil {
@@ -806,232 +659,47 @@ func runShardStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.
 	if err := rt.Start(); err != nil {
 		return out, err
 	}
-	url := rt.URL()
 	out.RingDigest = fmt.Sprintf("%016x", rt.Ring().Digest())
 
-	var (
-		mu      sync.Mutex
-		legErrs []error
-		revSeen = map[uint64]bool{}
-	)
-	fail := func(err error) {
-		mu.Lock()
-		legErrs = append(legErrs, err)
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(legErrs) > 0
-	}
-
-	// Classify clients run for the storm's whole lifetime so the shard and
-	// replica kills race in-flight proxied requests. 503 is sanctioned
-	// shedding (injected latency past the deadline, or a replica dying
-	// under the proxy); a 200 must be parity-perfect for its revision.
-	outdoor := base.Dataset.OutdoorTraffic
-	nVec := 32
-	if nVec > outdoor.Rows() {
-		nVec = outdoor.Rows()
-	}
-	var creq serve.ClassifyRequest
-	for i := 0; i < nVec; i++ {
-		creq.Antennas = append(creq.Antennas, serve.AntennaVector{
-			ID: uint32(i), Traffic: outdoor.Row(i),
-		})
-	}
-	classifyBody, err := json.Marshal(creq)
-	if err != nil {
-		return out, err
-	}
-	stopClients := make(chan struct{})
-	var clients pipe.Tasks
-	classifyOK := 0
-	classifyShed := 0
-	for c := 0; c < 2; c++ {
-		c := c
-		clients.Go(func() {
-			client := &http.Client{Timeout: 30 * time.Second}
-			for {
-				select {
-				case <-stopClients:
-					return
-				default:
-				}
-				resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(classifyBody))
-				if err != nil {
-					fail(fmt.Errorf("shard-storm classify %d: %w", c, err))
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusServiceUnavailable {
-					mu.Lock()
-					classifyShed++
-					mu.Unlock()
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("shard-storm classify %d: status %d: %s", c, resp.StatusCode, body))
-					return
-				}
-				var cr serve.ClassifyResponse
-				if err := json.Unmarshal(body, &cr); err != nil {
-					fail(fmt.Errorf("shard-storm classify %d: %w", c, err))
-					return
-				}
-				offline, ok := rt.ResultFor(cr.ModelRevision)
-				if !ok {
-					fail(fmt.Errorf("shard-storm classify %d: response echoes unregistered revision %016x", c, cr.ModelRevision))
-					return
-				}
-				for _, v := range cr.Results {
-					if v.Cluster != offline.OutdoorLabels[v.ID] {
-						fail(fmt.Errorf("shard-storm classify %d: antenna %d served cluster %d under revision %016x, offline labels say %d",
-							c, v.ID, v.Cluster, cr.ModelRevision, offline.OutdoorLabels[v.ID]))
-						return
-					}
-				}
-				mu.Lock()
-				classifyOK++
-				revSeen[cr.ModelRevision] = true
-				mu.Unlock()
-			}
-		})
-	}
-
-	// Ingest through the router with retry-on-429 (each retry re-partitions
-	// against the updated ring, which is how acked batches survive the
-	// shard kill).
+	// 30 ingest-only batches with the kills after the first 15: one shard
+	// (its queue drains every acked batch before the kill returns) and one
+	// replica (proxied classifies fail over). Then refresh under fire: the
+	// fold of the merged cross-shard totals is published through the
+	// fan-out — register, swap, fan out — the protocol the classify
+	// clients audit per echoed revision.
 	nIndoor := base.Dataset.Traffic.Rows()
-	ingestClient := &http.Client{Timeout: 30 * time.Second}
-	const perBatch = 25
-	ackedRecords := 0
-	ingest := func(iter int) bool {
-		var stream bytes.Buffer
-		pw := probe.NewWriter(&stream)
-		for j := 0; j < perBatch; j++ {
-			rec := probe.Record{
-				Hour: uint32(j % 24), AntennaID: uint32((iter*19 + j) % nIndoor),
-				Protocol: probe.TCP, ServerPort: 443,
-				ServerName: probe.DomainOf((iter + j) % services.M),
-				DownBytes:  (1 + uint64(iter%4)) << 20, UpBytes: 1 << 16,
+	err = storm{
+		url:       rt.URL(),
+		resultFor: rt.ResultFor,
+		refresh:   rt.RefreshOnce,
+		folded:    rt.Sinks().FoldedRecords,
+		shutdown:  rt.Shutdown,
+		records: func(iter int) []probe.Record {
+			recs := make([]probe.Record, 25)
+			for j := range recs {
+				recs[j] = probe.Record{
+					Hour: uint32(j % 24), AntennaID: uint32((iter*19 + j) % nIndoor),
+					Protocol: probe.TCP, ServerPort: 443,
+					ServerName: probe.DomainOf((iter + j) % services.M),
+					DownBytes:  (1 + uint64(iter%4)) << 20, UpBytes: 1 << 16,
+				}
 			}
-			if err := pw.Write(rec); err != nil {
-				fail(fmt.Errorf("shard-storm ingest %d: %w", iter, err))
-				return false
+			return recs
+		},
+		warmup: 30,
+		midway: func() error {
+			if err := rt.KillShard(chaosShards - 1); err != nil {
+				return fmt.Errorf("kill shard: %w", err)
 			}
-		}
-		if err := pw.Flush(); err != nil {
-			fail(fmt.Errorf("shard-storm ingest %d: %w", iter, err))
-			return false
-		}
-		for attempt := 0; attempt < 200 && ctx.Err() == nil; attempt++ {
-			resp, err := ingestClient.Post(url+"/v1/ingest", "application/octet-stream", bytes.NewReader(stream.Bytes()))
-			if err != nil {
-				fail(fmt.Errorf("shard-storm ingest %d: %w", iter, err))
-				return false
+			kctx, kcancel := context.WithTimeout(ctx, 30*time.Second)
+			defer kcancel()
+			if err := rt.KillReplica(kctx, 1); err != nil {
+				return fmt.Errorf("kill replica: %w", err)
 			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				out.AckedBatches++
-				ackedRecords += perBatch
-				return true
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				out.RejectedBatch++
-				time.Sleep(2 * time.Millisecond)
-			default:
-				fail(fmt.Errorf("shard-storm ingest %d: unexpected status %d", iter, resp.StatusCode))
-				return false
-			}
-		}
-		fail(fmt.Errorf("shard-storm ingest %d: batch never acked", iter))
-		return false
-	}
-
-	const batchesPerPhase = 15
-	for iter := 0; iter < batchesPerPhase && !failed(); iter++ {
-		if !ingest(iter) {
-			break
-		}
-	}
-	// Mid-soak kills: one shard (its queue drains every acked batch before
-	// the kill returns) and one replica (proxied classifies fail over).
-	if !failed() && shards > 1 {
-		if err := rt.KillShard(shards - 1); err != nil {
-			fail(fmt.Errorf("shard-storm kill shard: %w", err))
-		}
-	}
-	if !failed() {
-		kctx, kcancel := context.WithTimeout(ctx, 30*time.Second)
-		if err := rt.KillReplica(kctx, 1); err != nil {
-			fail(fmt.Errorf("shard-storm kill replica: %w", err))
-		}
-		kcancel()
-	}
-	for iter := batchesPerPhase; iter < 2*batchesPerPhase && !failed(); iter++ {
-		if !ingest(iter) {
-			break
-		}
-	}
-
-	// Refresh under fire: fold the merged cross-shard totals and publish at
-	// least one new revision through the fan-out (replica 0 is the only
-	// survivor here, but the protocol — register, swap, fan out — is the
-	// same one the classify leg audits per echoed revision).
-	for iter := 0; out.Swaps < 1 && !failed(); iter++ {
-		if iter >= 8 {
-			fail(fmt.Errorf("shard-storm: no swap after %d refresh attempts", iter))
-			break
-		}
-		if !ingest(2*batchesPerPhase + iter) {
-			break
-		}
-		for rt.Sinks().PendingRecords() != 0 && ctx.Err() == nil {
-			time.Sleep(time.Millisecond)
-		}
-		rctx, rcancel := context.WithTimeout(ctx, 2*time.Minute)
-		ro, err := rt.RefreshOnce(rctx)
-		rcancel()
-		if err != nil {
-			fail(fmt.Errorf("shard-storm refresh %d: %w", iter, err))
-			break
-		}
-		if ro.Swapped {
-			out.Swaps++
-		}
-	}
-
-	close(stopClients)
-	clients.Wait()
-
-	// Bounded drain, then the acked-batch audit across every shard sink —
-	// the killed shard's drained aggregate included.
-	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer sdCancel()
-	if err := rt.Shutdown(sdCtx); err != nil {
-		fail(fmt.Errorf("shard-storm shutdown (possible deadlock): %w", err))
-	}
-	st := rt.Stats()
-	out.FoldedRecords = st.FoldedRecords
-	out.Failovers = st.ClassifyFailovers
-	if out.FoldedRecords != ackedRecords {
-		fail(fmt.Errorf("shard-storm acked-batch loss: sinks hold %d records, want %d (%d acked × %d)",
-			out.FoldedRecords, ackedRecords, out.AckedBatches, perBatch))
-	}
-	mu.Lock()
-	out.ClassifyOK = classifyOK
-	out.ClassifyShed = classifyShed
-	out.RevisionsSeen = len(revSeen)
-	mu.Unlock()
-	for _, c := range inj.Stats() {
-		out.InjectedErrs += int(c.Errs)
-		out.InjectedDelays += int(c.Delays)
-	}
-	if len(legErrs) > 0 {
-		return out, legErrs[0]
-	}
-	return out, nil
+			return nil
+		},
+	}.run(ctx, batch, 1, &out)
+	out.Failovers = rt.Stats().ClassifyFailovers
+	out.InjectedErrs, out.InjectedDelays = faultTotals(inj)
+	return out, err
 }

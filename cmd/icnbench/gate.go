@@ -200,14 +200,9 @@ func measureBest(cfg analysis.Config, runs int, benchPath string) (benchRecord, 
 		}
 	}
 	if benchPath != "" {
-		data, err := json.MarshalIndent(best, "", "  ")
-		if err != nil {
+		if err := writeJSON(benchPath, "gated stage timings", best); err != nil {
 			return benchRecord{}, err
 		}
-		if err := os.WriteFile(benchPath, append(data, '\n'), 0o644); err != nil {
-			return benchRecord{}, err
-		}
-		fmt.Fprintf(os.Stderr, "icnbench: wrote gated stage timings to %s\n", benchPath)
 	}
 	return best, nil
 }

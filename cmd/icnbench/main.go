@@ -7,8 +7,8 @@
 //
 //	icnbench [-seed N] [-scale F] [-k N] [-trees N] [-out DIR] [-quiet]
 //	         [-benchjson FILE]
-//	icnbench -serve [-serveclients N] [-servereqs N] [-servebatch N]
-//	         [-servejson FILE] [-forecast=false]
+//	icnbench -serve [-servejson FILE]
+//	icnbench -chaos [-chaosschedules N] [-chaosjson FILE]
 //	icnbench -shards N [-replicas M] [-shardclients N] [-shardbatches N]
 //	         [-shardrecords N] [-shardjson FILE]
 //
@@ -16,11 +16,17 @@
 // an in-process icnserve instance around a freshly trained snapshot,
 // sustains a concurrent classify load over HTTP, drains the server
 // gracefully, and writes throughput plus p50/p99 latency to -servejson
-// (default BENCH_serve.json). Unless -forecast=false, it also times the
-// forecast-set training and sustains a /v1/forecast load with a model swap
-// landing mid-run, auditing every sampled response bit-for-bit against an
-// offline refit of the echoed revision's series; the forecast_train,
-// forecast_p50 and forecast_p99 rows gate alongside the classify rows.
+// (default BENCH_serve.json). It also times the forecast-set training and
+// sustains a /v1/forecast load with a model swap landing mid-run, auditing
+// every sampled response bit-for-bit against an offline refit of the
+// echoed revision's series; the forecast_train, forecast_p50 and
+// forecast_p99 rows gate alongside the classify rows.
+//
+// With -chaos the command runs the seeded fault-injection soak: N fault
+// schedules against a live server and collector, a 50-swap refresh storm,
+// and a 3-shard storm that kills a shard and a replica, every classify
+// answer audited against the offline labels of the revision it echoes.
+// The schedule outcomes land in -chaosjson when given.
 //
 // With -shards the command benchmarks the sharded nationwide tier: N
 // ingest shards on a consistent-hash ring behind M replicated serve
@@ -58,19 +64,12 @@ func main() {
 	k := flag.Int("k", 9, "number of flat clusters")
 	trees := flag.Int("trees", 100, "surrogate random-forest size")
 	outDir := flag.String("out", "", "directory to write per-artifact text files (optional)")
-	mdPath := flag.String("md", "", "write a consolidated markdown report to this path (optional)")
 	benchPath := flag.String("benchjson", "", "write a machine-readable stage-timing record to this path (optional)")
 	quiet := flag.Bool("quiet", false, "print only the check summary")
 	serveBench := flag.Bool("serve", false, "benchmark the online serving path instead of regenerating artifacts")
-	serveClients := flag.Int("serveclients", 8, "concurrent classify clients (with -serve)")
-	serveReqs := flag.Int("servereqs", 50, "requests per client (with -serve)")
-	serveBatch := flag.Int("servebatch", 64, "antennas per classify request (with -serve)")
 	serveJSON := flag.String("servejson", "BENCH_serve.json", "serving benchmark output path (with -serve)")
-	serveForecast := flag.Bool("forecast", true, "run the forecast leg — train-time row plus a /v1/forecast load with a mid-run model swap and per-revision parity audit (with -serve)")
 	chaos := flag.Bool("chaos", false, "run the seeded fault-injection soak against a live server instead of regenerating artifacts")
 	chaosSchedules := flag.Int("chaosschedules", 3, "number of seeded fault schedules (with -chaos)")
-	chaosSwaps := flag.Int("chaosswaps", 50, "refresh-driven snapshot swaps the swap-storm leg must complete with parity held (with -chaos; 0 disables the leg)")
-	chaosShards := flag.Int("chaosshards", 3, "shards in the sharded chaos leg: kills a shard and a replica mid-soak with invariants held (with -chaos; 0 disables the leg)")
 	chaosJSON := flag.String("chaosjson", "", "chaos soak record output path (with -chaos, optional)")
 	shards := flag.Int("shards", 0, "benchmark the sharded tier with this many ingest shards instead of regenerating artifacts (0 = off; defaults -scale to 1)")
 	replicas := flag.Int("replicas", 2, "serve replicas behind the shard router (with -shards)")
@@ -107,64 +106,36 @@ func main() {
 		K:           *k,
 		ForestTrees: *trees,
 	}
-	if *chaos {
-		if err := runChaos(cfg, *chaosSchedules, *chaosSwaps, *chaosShards, *chaosJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
+	switch {
+	case *chaos:
+		check(runChaos(cfg, *chaosSchedules, *chaosJSON))
 		return
-	}
-	if *shards > 0 {
-		if err := runShardBench(cfg, *shards, *replicas, *shardClients, *shardBatches, *shardRecords, *shardJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
+	case *shards > 0:
+		check(runShardBench(cfg, *shards, *replicas, *shardClients, *shardBatches, *shardRecords, *shardJSON))
 		return
-	}
-	if *gatePath != "" {
+	case *gatePath != "":
 		maxMS, err := parseGateMax(*gateMax)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runGate(cfg, *gatePath, *gateCompare, *benchPath, *gateTolerance, *gateFloor, *gateRuns, maxMS, parseGateExpect(*gateExpect)); err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
+		check(runGate(cfg, *gatePath, *gateCompare, *benchPath, *gateTolerance, *gateFloor, *gateRuns, maxMS, parseGateExpect(*gateExpect)))
 		return
-	}
-	if *serveBench {
-		if err := runServeBench(cfg, *serveClients, *serveReqs, *serveBatch, *serveJSON, *serveForecast); err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
+	case *serveBench:
+		check(runServeBench(cfg, *serveJSON))
 		return
 	}
 	fmt.Fprintf(os.Stderr, "icnbench: running pipeline (seed=%d scale=%.2f k=%d trees=%d)...\n",
 		cfg.Seed, cfg.Scale, cfg.K, cfg.ForestTrees)
 	suite, err := experiments.NewSuite(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-		os.Exit(1)
-	}
+	check(err)
 	fmt.Fprintf(os.Stderr, "icnbench: pipeline done — %d indoor antennas, %d outdoor, purity %.3f, ARI %.3f, surrogate acc %.3f\n",
 		len(suite.Res.Dataset.Indoor), len(suite.Res.Dataset.Outdoor),
 		suite.Res.Purity(), suite.Res.AdjustedRandIndex(), suite.Res.SurrogateAccuracy)
 	fmt.Fprintln(os.Stderr, suite.Res.Trace())
 
 	if *benchPath != "" {
-		if err := writeBenchJSON(*benchPath, cfg, suite); err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "icnbench: wrote stage timings to %s\n", *benchPath)
+		check(writeJSON(*benchPath, "stage timings", buildBenchRecord(cfg, suite)))
 	}
-
 	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
+		check(os.MkdirAll(*outDir, 0o755))
 	}
 
 	artifacts := suite.All()
@@ -185,18 +156,8 @@ func main() {
 		if *outDir != "" {
 			path := filepath.Join(*outDir, strings.ToLower(a.ID)+".txt")
 			content := fmt.Sprintf("%s: %s\n\n%s", a.ID, a.Title, a.Text)
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-				os.Exit(1)
-			}
+			check(os.WriteFile(path, []byte(content), 0o644))
 		}
-	}
-	if *mdPath != "" {
-		if err := writeMarkdown(*mdPath, cfg, suite, artifacts); err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "icnbench: wrote markdown report to %s\n", *mdPath)
 	}
 
 	fmt.Printf("\nicnbench: %d artifacts, %d failed checks\n", len(artifacts), failed)
@@ -253,38 +214,23 @@ func buildBenchRecord(cfg analysis.Config, suite *experiments.Suite) benchRecord
 	return rec
 }
 
-func writeBenchJSON(path string, cfg analysis.Config, suite *experiments.Suite) error {
-	data, err := json.MarshalIndent(buildBenchRecord(cfg, suite), "", "  ")
+// check exits with err's message when err is non-nil.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// writeJSON writes v to path as indented JSON and reports it as what.
+func writeJSON(path, what string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeMarkdown renders every artifact into a single markdown document
-// with a check-summary table up front.
-func writeMarkdown(path string, cfg analysis.Config, suite *experiments.Suite, artifacts []experiments.Artifact) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# ICN reproduction report\n\n")
-	fmt.Fprintf(&b, "seed %d, scale %.2f, k %d, %d surrogate trees — %d indoor antennas, %d outdoor.\n\n",
-		cfg.Seed, cfg.Scale, cfg.K, cfg.ForestTrees,
-		len(suite.Res.Dataset.Indoor), len(suite.Res.Dataset.Outdoor))
-	fmt.Fprintf(&b, "Validation vs hidden ground truth: purity %.3f, ARI %.3f, surrogate accuracy %.3f.\n\n",
-		suite.Res.Purity(), suite.Res.AdjustedRandIndex(), suite.Res.SurrogateAccuracy)
-
-	b.WriteString("## Check summary\n\n| artifact | check | status | detail |\n|---|---|---|---|\n")
-	for _, a := range artifacts {
-		for _, c := range a.Checks {
-			status := "PASS"
-			if !c.Pass {
-				status = "**FAIL**"
-			}
-			fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", a.ID, c.Name, status, c.Detail)
-		}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
 	}
-	b.WriteString("\n")
-	for _, a := range artifacts {
-		fmt.Fprintf(&b, "## %s: %s\n\n```\n%s```\n\n", a.ID, a.Title, a.Text)
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
+	fmt.Fprintf(os.Stderr, "icnbench: wrote %s to %s\n", what, path)
+	return nil
 }

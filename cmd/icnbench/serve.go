@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
@@ -47,23 +45,30 @@ type serveBenchRecord struct {
 	IngestRecords int64 `json:"ingest_records"`
 	CacheHits     int64 `json:"cache_hits"`
 
-	// Forecast leg (omitted with -forecast=false).
-	ForecastRequests int     `json:"forecast_requests,omitempty"`
-	ForecastAudited  int     `json:"forecast_audited,omitempty"`
-	ForecastTrainMS  float64 `json:"forecast_train_ms,omitempty"`
+	ForecastRequests int     `json:"forecast_requests"`
+	ForecastAudited  int     `json:"forecast_audited"`
+	ForecastTrainMS  float64 `json:"forecast_train_ms"`
 
-	// Gate-comparable rows: classify_p50, classify_p99, refresh_warm, and
-	// with the forecast leg forecast_train, forecast_p50, forecast_p99.
+	// Gate-comparable rows: classify_p50, classify_p99, refresh_warm,
+	// forecast_train, forecast_p50, forecast_p99.
 	TotalMS float64     `json:"total_ms"`
 	Stages  []stageJSON `json:"stages"`
 }
 
+// The serve bench's load shape: clients × requests classify posts of
+// batch antennas each, and the same clients × requests on /v1/forecast.
+const (
+	serveClients  = 8
+	serveRequests = 50
+	serveBatch    = 64
+)
+
 // runServeBench stands up an in-process icnserve instance around a freshly
 // trained snapshot and sustains a concurrent classify load against it over
-// real HTTP — plus, with forecastLeg, a forecast load with a mid-run model
-// swap and per-revision parity audit — then writes the latency/throughput
-// record and drains the server gracefully.
-func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath string, forecastLeg bool) error {
+// real HTTP — plus a forecast load with a mid-run model swap and
+// per-revision parity audit — then writes the latency/throughput record
+// and drains the server gracefully.
+func runServeBench(cfg analysis.Config, outPath string) error {
 	fmt.Fprintf(os.Stderr, "icnbench: training snapshot (seed=%d scale=%.2f trees=%d)...\n",
 		cfg.Seed, cfg.Scale, cfg.ForestTrees)
 	res, err := analysis.Run(cfg)
@@ -85,46 +90,30 @@ func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath st
 
 	// The load uses the synthetic outdoor population's raw vectors — the
 	// exact Section 5.3 workload — cycling through the rows per request.
-	outdoor := res.Dataset.OutdoorTraffic
-	if batch > outdoor.Rows() {
-		batch = outdoor.Rows()
-	}
-	bodies := make([][]byte, clients)
+	batch := min(serveBatch, res.Dataset.OutdoorTraffic.Rows())
+	bodies := make([][]byte, serveClients)
 	for c := range bodies {
-		var req serve.ClassifyRequest
-		for i := 0; i < batch; i++ {
-			row := (c*batch + i) % outdoor.Rows()
-			req.Antennas = append(req.Antennas, serve.AntennaVector{
-				ID: uint32(row), Traffic: outdoor.Row(row),
-			})
-		}
-		bodies[c], err = json.Marshal(req)
+		b, err := outdoorBatch(res, c*batch, batch)
 		if err != nil {
 			return err
 		}
+		bodies[c] = b.body
 	}
 
 	fmt.Fprintf(os.Stderr, "icnbench: serve load — %d clients × %d requests × %d antennas against %s\n",
-		clients, requests, batch, url)
-	latencies := make([][]float64, clients)
-	failures := make([]int, clients)
+		serveClients, serveRequests, batch, url)
+	latencies := make([][]float64, serveClients)
+	failures := make([]int, serveClients)
 	start := time.Now()
+	d := newDriver(url, 30*time.Second, policy{})
 	var loaders pipe.Tasks
-	for c := 0; c < clients; c++ {
-		c := c
+	for c := 0; c < serveClients; c++ {
 		loaders.Go(func() {
-			client := &http.Client{Timeout: 30 * time.Second}
-			lat := make([]float64, 0, requests)
-			for r := 0; r < requests; r++ {
+			lat := make([]float64, 0, serveRequests)
+			for r := 0; r < serveRequests; r++ {
 				t0 := time.Now()
-				resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(bodies[c]))
-				if err != nil {
-					failures[c]++
-					continue
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
+				code, _, err := d.post(context.Background(), "/v1/classify", "application/json", bodies[c])
+				if err != nil || code != http.StatusOK {
 					failures[c]++
 					continue
 				}
@@ -185,7 +174,7 @@ func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath st
 	st := srv.Stats()
 	rec := serveBenchRecord{
 		Seed: cfg.Seed, Scale: cfg.Scale, Trees: cfg.ForestTrees,
-		Clients: clients, RequestsPerC: requests, BatchAntennas: batch,
+		Clients: serveClients, RequestsPerC: serveRequests, BatchAntennas: batch,
 		ModelRevision: snap.Revision,
 		TotalRequests: len(all),
 		FailedReqs:    failed,
@@ -205,21 +194,19 @@ func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath st
 		{Name: "refresh_warm", WallMS: refreshMS},
 	}
 
-	if forecastLeg {
-		fc, err := runForecastLeg(srv, ref, res, url, clients, requests)
-		if err != nil {
-			return fmt.Errorf("icnbench: forecast leg: %w", err)
-		}
-		rec.ForecastRequests = fc.requests
-		rec.ForecastAudited = fc.audited
-		rec.ForecastTrainMS = fc.trainMS
-		rec.TotalMS += fc.trainMS + fc.wallMS
-		rec.Stages = append(rec.Stages,
-			stageJSON{Name: "forecast_train", WallMS: fc.trainMS},
-			stageJSON{Name: "forecast_p50", WallMS: fc.p50MS},
-			stageJSON{Name: "forecast_p99", WallMS: fc.p99MS},
-		)
+	fc, err := runForecastLeg(srv, ref, res, d)
+	if err != nil {
+		return fmt.Errorf("icnbench: forecast leg: %w", err)
 	}
+	rec.ForecastRequests = fc.requests
+	rec.ForecastAudited = fc.audited
+	rec.ForecastTrainMS = fc.trainMS
+	rec.TotalMS += fc.trainMS + fc.wallMS
+	rec.Stages = append(rec.Stages,
+		stageJSON{Name: "forecast_train", WallMS: fc.trainMS},
+		stageJSON{Name: "forecast_p50", WallMS: fc.p50MS},
+		stageJSON{Name: "forecast_p99", WallMS: fc.p99MS},
+	)
 
 	shutdownStart := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -231,15 +218,7 @@ func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath st
 		time.Since(shutdownStart).Round(time.Millisecond),
 		rec.RequestsPerS, rec.VectorsPerS, rec.P50MS, rec.P99MS, failed)
 
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "icnbench: wrote serving benchmark to %s\n", outPath)
-	return nil
+	return writeJSON(outPath, "serving benchmark", rec)
 }
 
 // forecastLegResult carries the forecast leg's gate-row inputs.
@@ -267,7 +246,7 @@ type fcObs struct {
 // Result.RefitForecasts) — the chaos-style parity contract: a served
 // forecast is exactly what forecast.Fit produces on that revision's data,
 // across a snapshot swap.
-func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Result, url string, clients, requests int) (forecastLegResult, error) {
+func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Result, d driver) (forecastLegResult, error) {
 	var out forecastLegResult
 
 	// Train-time row: refit the forecast set offline from the base
@@ -288,26 +267,24 @@ func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Resul
 
 	horizons := []int{24, 48, 168}
 	var done atomic.Int64
-	latencies := make([][]float64, clients)
-	samples := make([][]fcObs, clients)
-	failures := make([]int, clients)
-	query := func(client *http.Client, cluster, horizon int) (fcObs, float64, error) {
+	latencies := make([][]float64, serveClients)
+	samples := make([][]fcObs, serveClients)
+	failures := make([]int, serveClients)
+	query := func(cluster, horizon int) (fcObs, float64, error) {
 		body, err := json.Marshal(serve.ForecastRequest{Cluster: &cluster, Horizon: horizon})
 		if err != nil {
 			return fcObs{}, 0, err
 		}
 		t0 := time.Now()
-		resp, err := client.Post(url+"/v1/forecast", "application/json", bytes.NewReader(body))
+		code, data, err := d.post(context.Background(), "/v1/forecast", "application/json", body)
 		if err != nil {
 			return fcObs{}, 0, err
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			return fcObs{}, 0, fmt.Errorf("status %d", resp.StatusCode)
+		if code != http.StatusOK {
+			return fcObs{}, 0, fmt.Errorf("status %d", code)
 		}
 		var fr serve.ForecastResponse
-		if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
+		if err := json.Unmarshal(data, &fr); err != nil {
 			return fcObs{}, 0, err
 		}
 		lat := float64(time.Since(t0).Microseconds()) / 1000
@@ -315,15 +292,13 @@ func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Resul
 	}
 
 	fmt.Fprintf(os.Stderr, "icnbench: forecast load — %d clients × %d requests with a mid-run swap\n",
-		clients, requests)
+		serveClients, serveRequests)
 	loadStart := time.Now()
 	var loaders pipe.Tasks
-	for c := 0; c < clients; c++ {
-		c := c
+	for c := 0; c < serveClients; c++ {
 		loaders.Go(func() {
-			client := &http.Client{Timeout: 30 * time.Second}
-			for r := 0; r < requests; r++ {
-				obs, lat, err := query(client, (c+r)%res.K, horizons[r%len(horizons)])
+			for r := 0; r < serveRequests; r++ {
+				obs, lat, err := query((c+r)%res.K, horizons[r%len(horizons)])
 				done.Add(1)
 				if err != nil {
 					failures[c]++
@@ -341,7 +316,7 @@ func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Resul
 	// Land a model swap mid-run: wait for a third of the load to complete,
 	// fold a fresh ingest batch and run one warm refresh. Requests issued
 	// after the swap echo (and must match) the new revision.
-	total := int64(clients * requests)
+	total := int64(serveClients * serveRequests)
 	for done.Load() < total/3 {
 		time.Sleep(time.Millisecond)
 	}
@@ -370,9 +345,8 @@ func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Resul
 
 	// A slow swap can finish after fast clients drain; a handful of
 	// post-swap queries guarantees the audit covers the new revision.
-	tail := &http.Client{Timeout: 30 * time.Second}
 	for c := 0; c < res.K; c++ {
-		obs, _, err := query(tail, c, horizons[c%len(horizons)])
+		obs, _, err := query(c, horizons[c%len(horizons)])
 		if err != nil {
 			return out, fmt.Errorf("post-swap query: %w", err)
 		}

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"sort"
 	"sync"
@@ -120,75 +116,46 @@ func runShardBench(cfg analysis.Config, shards, replicas, clients, batches, perB
 
 	var (
 		ackedBatches atomic.Int64
-		rejected     atomic.Int64
 		killOnce     sync.Once
 		replOnce     sync.Once
-		loadErrs     []error
-		errMu        sync.Mutex
+		errs         legErrs
 		loaders      pipe.Tasks
 	)
-	fail := func(err error) {
-		errMu.Lock()
-		loadErrs = append(loadErrs, err)
-		errMu.Unlock()
-	}
+	d := newDriver(url, 120*time.Second, benchRetry)
 	killAt := int64(clients*batches) / 3
 	replicaAt := int64(clients*batches) / 2
 	ingestStart := time.Now()
 	for c := 0; c < clients; c++ {
-		c := c
 		loaders.Go(func() {
-			client := &http.Client{Timeout: 60 * time.Second}
 			for b := 0; b < batches; b++ {
-				var stream bytes.Buffer
-				pw := probe.NewWriter(&stream)
+				recs := make([]probe.Record, perBatch)
 				base := (c*batches + b) * perBatch
-				for j := 0; j < perBatch; j++ {
-					rec := probe.Record{
+				for j := range recs {
+					recs[j] = probe.Record{
 						Hour: uint32(j % 24), AntennaID: uint32((base + j) % nIndoor),
 						Protocol: probe.TCP, ServerPort: 443,
 						ServerName: probe.DomainOf((base + j) % services.M),
 						DownBytes:  2 << 20, UpBytes: 1 << 17,
 					}
-					if err := pw.Write(rec); err != nil {
-						fail(err)
-						return
-					}
 				}
-				if err := pw.Flush(); err != nil {
-					fail(err)
+				stream, err := encodeProbes(recs)
+				if err != nil {
+					errs.fail(err)
 					return
 				}
-				landed := false
-				for attempt := 0; attempt < 200; attempt++ {
-					resp, err := client.Post(url+"/v1/ingest", "application/octet-stream", bytes.NewReader(stream.Bytes()))
-					if err != nil {
-						fail(fmt.Errorf("shard ingest client %d: %w", c, err))
-						return
-					}
-					_, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode == http.StatusAccepted {
-						landed = true
-						break
-					}
-					if resp.StatusCode == http.StatusTooManyRequests {
-						rejected.Add(1)
-						time.Sleep(5 * time.Millisecond)
-						continue
-					}
-					fail(fmt.Errorf("shard ingest client %d: unexpected status %d", c, resp.StatusCode))
-					return
+				landed, _, err := d.ingest(context.Background(), stream)
+				if err == nil && !landed {
+					err = fmt.Errorf("batch %d never acked", b)
 				}
-				if !landed {
-					fail(fmt.Errorf("shard ingest client %d: batch %d never acked", c, b))
+				if err != nil {
+					errs.fail(fmt.Errorf("shard ingest client %d: %w", c, err))
 					return
 				}
 				n := ackedBatches.Add(1)
 				if shards > 1 && n == killAt {
 					killOnce.Do(func() {
 						if err := rt.KillShard(shards - 1); err != nil {
-							fail(fmt.Errorf("shard kill: %w", err))
+							errs.fail(fmt.Errorf("shard kill: %w", err))
 							return
 						}
 						fmt.Fprintf(os.Stderr, "icnbench: killed shard %d at %d/%d acked batches (ring %d/%d alive)\n",
@@ -200,7 +167,7 @@ func runShardBench(cfg analysis.Config, shards, replicas, clients, batches, perB
 						kctx, kcancel := context.WithTimeout(context.Background(), 30*time.Second)
 						defer kcancel()
 						if err := rt.KillReplica(kctx, replicas-1); err != nil {
-							fail(fmt.Errorf("replica kill: %w", err))
+							errs.fail(fmt.Errorf("replica kill: %w", err))
 							return
 						}
 						fmt.Fprintf(os.Stderr, "icnbench: killed replica %d at %d/%d acked batches\n",
@@ -212,8 +179,8 @@ func runShardBench(cfg analysis.Config, shards, replicas, clients, batches, perB
 	}
 	loaders.Wait()
 	rec.IngestWallMS = float64(time.Since(ingestStart).Microseconds()) / 1000
-	if len(loadErrs) > 0 {
-		return fmt.Errorf("icnbench: shard ingest leg: %w", loadErrs[0])
+	if err := errs.first(); err != nil {
+		return fmt.Errorf("icnbench: shard ingest leg: %w", err)
 	}
 	rec.RecordsPerS = float64(total) / (rec.IngestWallMS / 1000)
 
@@ -259,61 +226,26 @@ func runShardBench(cfg analysis.Config, shards, replicas, clients, batches, perB
 	// Every response is audited against the offline labels of whichever
 	// revision it echoes (base or refreshed) — the served↔offline parity
 	// invariant, sustained across replica failover.
-	outdoor := res.Dataset.OutdoorTraffic
 	const maxBatch = 4096
-	var bodies [][]byte
-	var starts []int
-	for at := 0; at < outdoor.Rows(); at += maxBatch {
-		end := at + maxBatch
-		if end > outdoor.Rows() {
-			end = outdoor.Rows()
-		}
-		var req serve.ClassifyRequest
-		for i := at; i < end; i++ {
-			req.Antennas = append(req.Antennas, serve.AntennaVector{
-				ID: uint32(i), Traffic: outdoor.Row(i),
-			})
-		}
-		body, err := json.Marshal(req)
+	var outdoorBatches []classifyBatch
+	for at := 0; at < res.Dataset.OutdoorTraffic.Rows(); at += maxBatch {
+		b, err := outdoorBatch(res, at, min(maxBatch, res.Dataset.OutdoorTraffic.Rows()-at))
 		if err != nil {
 			return err
 		}
-		bodies = append(bodies, body)
-		starts = append(starts, at)
+		outdoorBatches = append(outdoorBatches, b)
 	}
 	const rounds = 3
 	var latencies []float64
-	client := &http.Client{Timeout: 120 * time.Second}
 	parity := 0
 	for round := 0; round < rounds; round++ {
-		for bi, body := range bodies {
-			t0 := time.Now()
-			resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(body))
+		for _, b := range outdoorBatches {
+			got, err := d.classify(context.Background(), b, rt.ResultFor)
 			if err != nil {
 				return fmt.Errorf("icnbench: shard classify: %w", err)
 			}
-			data, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("icnbench: shard classify: status %d: %s", resp.StatusCode, data)
-			}
-			latencies = append(latencies, float64(time.Since(t0).Microseconds())/1000)
-			var cr serve.ClassifyResponse
-			if err := json.Unmarshal(data, &cr); err != nil {
-				return fmt.Errorf("icnbench: shard classify: %w", err)
-			}
-			offline, ok := rt.ResultFor(cr.ModelRevision)
-			if !ok {
-				return fmt.Errorf("icnbench: shard classify echoes unregistered revision %016x", cr.ModelRevision)
-			}
-			for i, v := range cr.Results {
-				want := offline.OutdoorLabels[starts[bi]+i]
-				if v.Cluster != want {
-					return fmt.Errorf("icnbench: parity broken — antenna %d served cluster %d under revision %016x, offline labels say %d",
-						v.ID, v.Cluster, cr.ModelRevision, want)
-				}
-				parity++
-			}
+			latencies = append(latencies, float64(got.wait.Microseconds())/1000)
+			parity += len(b.rows)
 		}
 	}
 	sort.Float64s(latencies)
@@ -352,13 +284,5 @@ func runShardBench(cfg analysis.Config, shards, replicas, clients, batches, perB
 	fmt.Fprintf(os.Stderr, "icnbench: shard PASS — %d sessions acked+folded (%d 429s), %.0f records/s, classify p50 %.1fms p99 %.1fms, parity on %d antenna verdicts\n",
 		total, rec.Rejected429, rec.RecordsPerS, rec.ClassifyP50MS, rec.ClassifyP99MS, parity)
 
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "icnbench: wrote shard benchmark to %s\n", outPath)
-	return nil
+	return writeJSON(outPath, "shard benchmark", rec)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
-	h := GetHistogram("test.hist.quantiles", []float64{1, 10, 100})
+	h := NewRegistry("test").GetHistogram("test.hist.quantiles", []float64{1, 10, 100})
 	for i := 0; i < 90; i++ {
 		h.Observe(0.5) // ≤1 bucket
 	}
@@ -36,7 +36,7 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 }
 
 func TestHistogramOverflowBucket(t *testing.T) {
-	h := GetHistogram("test.hist.overflow", []float64{1})
+	h := NewRegistry("test").GetHistogram("test.hist.overflow", []float64{1})
 	h.Observe(99)
 	s := h.Snapshot()
 	if s.Count != 1 || s.Cumulative[0] != 0 {
@@ -55,7 +55,7 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := GetHistogram("test.hist.concurrent", []float64{1, 2})
+	h := NewRegistry("test").GetHistogram("test.hist.concurrent", []float64{1, 2})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -85,9 +85,10 @@ func TestGetHistogramSharesInstance(t *testing.T) {
 }
 
 func TestMetricsTextRendersCountersAndHistograms(t *testing.T) {
-	Add("test.metrics.counter", 3)
-	ObserveMS("test.metrics.latency", 0.2)
-	text := MetricsText()
+	r := NewRegistry("test")
+	r.Add("test.metrics.counter", 3)
+	r.ObserveMS("test.metrics.latency", 0.2)
+	text := r.MetricsText()
 	for _, want := range []string{
 		"icn_test_metrics_counter 3",
 		"# TYPE icn_test_metrics_latency histogram",

@@ -154,8 +154,8 @@ type Server struct {
 	snap    atomic.Pointer[ModelSnapshot]
 	sink    *collect.Sink
 	pool    *pipe.Pool
-	cache   *lruCache
-	fcCache *forecastCache
+	cache   *lru[cacheKey, int]
+	fcCache *lru[forecastKey, ForecastResponse]
 
 	queue chan []probe.Record
 	tasks pipe.Tasks
@@ -195,8 +195,8 @@ func New(snap *ModelSnapshot, sink *collect.Sink, cfg Config) (*Server, error) {
 		cfg:     cfg,
 		sink:    sink,
 		pool:    pool,
-		cache:   newLRUCache(cfg.CacheSize),
-		fcCache: newForecastCache(cfg.ForecastCacheSize),
+		cache:   newLRU[cacheKey, int](cfg.CacheSize),
+		fcCache: newLRU[forecastKey, ForecastResponse](cfg.ForecastCacheSize),
 		queue:   make(chan []probe.Record, cfg.QueueDepth),
 		metrics: obs.NewRegistry(obs.ServerScope),
 	}
